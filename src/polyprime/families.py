@@ -459,7 +459,7 @@ def family_marked_set(p: Polyomino, spec: FamilySpec) -> tuple[frozenset[Point],
 
 def certify_family(p: Polyomino, spec: FamilySpec,
                    budget: Budget = UNLIMITED) -> PrimalityVerdict:
-    """Containment plus budgeted basis equality, with the family's marked map."""
+    """Containment plus budgeted proof of I_P = ker(phi), with the family's marked map."""
     try:
         marked, proof = family_marked_set(p, spec)
     except ConditionViolated as exc:
@@ -597,28 +597,60 @@ def _cache_dir(explicit: str | None) -> Path | None:
     return path
 
 
-def _cache_load(cache: Path, digest: str) -> ShapeRecord | None:
-    filename = cache / f"{digest}.json"
-    if not filename.exists():
+# Bump whenever a stored record could differ from what the current code
+# computes: a new record field, or a change to how verdicts are proved.
+CACHE_SCHEMA = 2
+
+
+def _cache_key(budget: Budget, certify: bool) -> dict:
+    """What a stored record depends on besides the shape."""
+    caps = [budget.max_pairs, budget.max_degree, budget.max_seconds] if certify else None
+    return {"schema": CACHE_SCHEMA, "certify": certify, "budget": caps}
+
+
+def _cache_path(cache: Path, digest: str, key: dict) -> Path:
+    tag = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
+    return cache / f"{digest}-{tag}.json"
+
+
+def _cache_load(cache: Path, digest: str, key: dict) -> ShapeRecord | None:
+    """The stored record for this shape and key; a missing or unreadable file is a miss."""
+    try:
+        data = json.loads(_cache_path(cache, digest, key).read_text())
+        if data["key"] != key:
+            return None
+        rec = data["record"]
+        return ShapeRecord(
+            cells=tuple(tuple(c) for c in rec["cells"]),
+            rank=rec["rank"],
+            l_configurations=rec["l_configurations"],
+            ladders3=rec["ladders3"],
+            zigzag=rec["zigzag"],
+            block3=rec["block3"],
+            hole_count=rec["holes"],
+            simple=rec["simple"],
+            verdict=rec["verdict"],
+        )
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    data = json.loads(filename.read_text())
-    return ShapeRecord(
-        cells=tuple(tuple(c) for c in data["cells"]),
-        rank=data["rank"],
-        l_configurations=data["l_configurations"],
-        ladders3=data["ladders3"],
-        zigzag=data["zigzag"],
-        block3=data["block3"],
-        hole_count=data["holes"],
-        simple=data["simple"],
-        verdict=data["verdict"],
-    )
 
 
-def _cache_store(cache: Path, digest: str, record: ShapeRecord) -> None:
-    (cache / f"{digest}.json").write_text(
-        json.dumps(record.to_json_dict(), separators=(",", ":"), sort_keys=True)
-    )
+def _cache_store(cache: Path, digest: str, key: dict, record: ShapeRecord) -> None:
+    """Write through a temporary file, so a reader never sees a partial record.
+
+    The temporary name carries the process id, so concurrent sweeps sharing
+    a cache never write to the same file.
+    """
+    payload = json.dumps({"key": key, "record": record.to_json_dict()},
+                         separators=(",", ":"), sort_keys=True)
+    path = _cache_path(cache, digest, key)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(payload)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1,
@@ -636,14 +668,14 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
         key=lambda cells: (len(cells), cells),
     )
     cache = _cache_dir(cache_dir)
+    key = _cache_key(budget, certify)
     records: list[ShapeRecord] = []
     pending: list[tuple[Cell, ...]] = []
     cached: dict[tuple[Cell, ...], ShapeRecord] = {}
     for cells in shapes:
         if cache is not None:
-            digest = CanonicalForm(cells).digest()
-            hit = _cache_load(cache, digest)
-            if hit is not None and (hit.verdict.get("kind") != "skipped" or not certify):
+            hit = _cache_load(cache, CanonicalForm(cells).digest(), key)
+            if hit is not None:
                 cached[cells] = hit
                 continue
         pending.append(cells)
@@ -662,7 +694,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     for cells in shapes:
         record = cached.get(cells) or fresh[cells]
         if cache is not None and cells in fresh:
-            _cache_store(cache, CanonicalForm(cells).digest(), record)
+            _cache_store(cache, CanonicalForm(cells).digest(), key, record)
         # Structural facts guaranteed for every closed path.
         if not record.block3:
             raise CounterexampleFound(f"closed path without a length-3 block: {cells}")

@@ -338,6 +338,49 @@ def test_verify_cache_round_trip(tmp_path):
     assert first.to_json_lines() == second.to_json_lines()
 
 
+def _equalities(report) -> set:
+    return {rec.verdict.get("equality") for rec in report.records}
+
+
+def test_verify_cache_keys_on_budget(tmp_path):
+    # A downgrade stored under a tiny budget is not served to an unlimited sweep.
+    small = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
+    assert _equalities(small) == {"containment-only"}
+    full = verify_main_theorem(10, cache_dir=str(tmp_path))
+    assert _equalities(full) == {"full"}
+    again = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
+    assert again.to_json_lines() == small.to_json_lines()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_verify_cache_keys_on_schema(tmp_path, monkeypatch):
+    import polyprime.families as families
+
+    verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
+    stored = sorted(tmp_path.iterdir())
+    for path in stored:
+        # Forge the records so that a hit would be visible in the report.
+        data = json.loads(path.read_text())
+        data["record"]["verdict"]["notes"] = ["forged"]
+        path.write_text(json.dumps(data))
+    served = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
+    assert all(rec.verdict["notes"] == ["forged"] for rec in served.records)
+    monkeypatch.setattr(families, "CACHE_SCHEMA", families.CACHE_SCHEMA + 1)
+    fresh = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
+    assert all(rec.verdict["notes"] != ["forged"] for rec in fresh.records)
+
+
+def test_verify_cache_corrupt_file_is_a_miss(tmp_path):
+    first = verify_main_theorem(10, certify=False, cache_dir=str(tmp_path))
+    paths = sorted(tmp_path.iterdir())
+    paths[0].write_text('{"key": {"schema"')  # a partial write
+    paths[1].write_text("[]")
+    second = verify_main_theorem(10, certify=False, cache_dir=str(tmp_path))
+    assert second.to_json_lines() == first.to_json_lines()
+    # The recomputed records replaced the damaged files.
+    assert all(json.loads(path.read_text())["record"] for path in paths)
+
+
 def test_verify_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYPRIME_CACHE", str(tmp_path / "envcache"))
     verify_main_theorem(10, certify=False)

@@ -8,22 +8,30 @@ from polyprime.grid import Polyomino
 from polyprime.ideals import (
     Binomial,
     Monomial,
+    check_containment,
+    format_var,
     inner_minors,
+    toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
 )
 from polyprime.toric import (
     Budget,
     BudgetExhausted,
+    CounterexampleFound,
     MonomialOrder,
     NotInSupportedClass,
+    attempt_equality,
     buchberger,
+    buchberger_engine,
     certify_primality,
+    check_saturated,
     exponent_matrix,
     ideal_equal,
     integer_kernel,
     kernel_complete_up_to_degree,
     lattice_ideal_engine,
+    lattice_rank_and_index,
     saturate,
     toric_ideal,
     toric_ideal_from_matrix,
@@ -113,6 +121,44 @@ def test_kernel_vectors_annihilate(matrix):
             assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
+# --- lattice rank and index ------------------------------------------------
+
+def test_lattice_index_of_saturated_lattices():
+    assert lattice_rank_and_index([(1, 0), (0, 1)]) == (2, 1)
+    assert lattice_rank_and_index([(2, 1)]) == (1, 1)
+    assert lattice_rank_and_index([(1, 1, 0), (0, 1, 1), (1, 2, 1)]) == (2, 1)
+    assert lattice_rank_and_index([]) == (0, 1)
+
+
+def test_lattice_index_rejects_index_two():
+    assert lattice_rank_and_index([(2, 0), (0, 1)]) == (2, 2)
+    assert lattice_rank_and_index([(1, 1), (1, -1)]) == (2, 2)
+
+
+def test_lattice_index_rejects_rank_deficient():
+    rank, index = lattice_rank_and_index([(1, 1), (2, 2)])
+    assert (rank, index) == (1, 1)
+    assert rank != 2
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 4),
+)
+def test_lattice_index_scales_with_a_generator(vectors, k):
+    # Multiplying the first generator of an independent set by k multiplies
+    # the index by k and keeps the rank.
+    rank, index = lattice_rank_and_index(vectors)
+    if rank != len(vectors):
+        return
+    scaled = [[k * x for x in vectors[0]]] + vectors[1:]
+    assert lattice_rank_and_index(scaled) == (rank, k * index)
+
+
 # --- lattice basis ideal ----------------------------------------------------
 
 def test_lattice_ideal_sign_split():
@@ -163,6 +209,17 @@ def test_budget_pair_cap(frame3):
     assert err.value.basis_size is not None and err.value.basis_size >= 20
 
 
+def test_packed_field_overflow_raises():
+    # x^k - y^k and x*y^k - y^(k+1) form a pair whose lcm x^k*y^k has degree
+    # 2k = _FIELD_MAX: every input exponent fits a field, the pair's would not.
+    from polyprime.toric import _FIELD_MAX
+
+    k = _FIELD_MAX // 2
+    gens = [((k, 0), (0, k)), ((1, k), (0, k + 1))]
+    with pytest.raises(OverflowError):
+        buchberger_engine(gens, MonomialOrder.degrevlex(2))
+
+
 def test_budget_degree_cap():
     with pytest.raises(BudgetExhausted):
         toric_ideal_from_matrix(TWISTED_CUBIC, ABCD, Budget(max_degree=1))
@@ -205,6 +262,14 @@ def test_saturate_idempotent():
         assert saturate(once, var, ABCD) == once
 
 
+def test_saturation_check_rejects_common_factor():
+    ring = (("x",), ("y",), ("z",))
+    xy_minus_xz = [((1, 1, 0), (1, 0, 1))]
+    with pytest.raises(CounterexampleFound, match="not saturated in x"):
+        check_saturated(xy_minus_xz, ring)
+    check_saturated([((0, 1, 0), (0, 0, 1))], ring)
+
+
 def test_saturate_rejects_inhomogeneous():
     ring = (("x",), ("y",))
     f = binom({"x": 2}, {"y": 1})
@@ -221,6 +286,29 @@ def test_final_bases_have_coprime_halves(frame3):
 
 # --- toric ideals of maps ---------------------------------------------------
 
+def _certifying_map(shape):
+    """The map certify_primality uses on a closed path without a zig-zag walk."""
+    lconfigs = find_l_configurations(shape)
+    if lconfigs:
+        return toric_map_lconfig(shape, lconfigs[0])
+    for ladder in find_ladders(shape, 3):
+        try:
+            return toric_map_ladder(shape, ladder)
+        except ValueError:
+            continue
+    raise AssertionError("no certifying map")
+
+
+def _assert_kernel_route_agrees(shape, phi):
+    # The product proves equality by the lattice and saturation checks; the
+    # kernel route rebuilds ker(phi) by saturating a lattice-basis ideal.
+    # Both must describe the same ideal.
+    assert check_containment(shape, phi)
+    assert attempt_equality(shape, phi, Budget()) == ("full", ())
+    gb_minors = buchberger(inner_minors(shape), vertex_ring(shape))
+    assert gb_minors.generators == toric_ideal(phi).generators
+
+
 def test_toric_ideal_single_cell():
     single = Polyomino.from_cells([(0, 0)])
     gb = toric_ideal(toric_map_marked(single, ()))
@@ -231,15 +319,11 @@ def test_toric_ideal_single_cell():
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3), (1, 3)])
 def test_rectangles_kernel_equals_minor_ideal(w, h):
     shape = rectangle(w, h)
-    gb_kernel = toric_ideal(toric_map_marked(shape, ()))
-    gb_minors = buchberger(inner_minors(shape), vertex_ring(shape))
-    assert gb_kernel.generators == gb_minors.generators
+    _assert_kernel_route_agrees(shape, toric_map_marked(shape, ()))
 
 
 def test_frame3_equality(frame3):
-    phi = toric_map_lconfig(frame3, find_l_configurations(frame3)[0])
-    gb_kernel = toric_ideal(phi)
-    assert ideal_equal(list(gb_kernel.generators), inner_minors(frame3), vertex_ring(frame3))
+    _assert_kernel_route_agrees(frame3, toric_map_lconfig(frame3, find_l_configurations(frame3)[0]))
 
 
 def test_kernel_completeness_oracle_suite(frame3):
@@ -262,6 +346,34 @@ def test_kernel_completeness_oracle_detects_gaps():
 
     crippled = GroebnerBasis(gb.ring, gb.order_kind, gb.generators[:1])
     assert not kernel_complete_up_to_degree(TWISTED_CUBIC, crippled, 4)
+
+
+def test_kernel_route_oracle_rank12_prime_shapes():
+    from polyprime.families import verify_main_theorem
+
+    report = verify_main_theorem(12)
+    primes = [rec for rec in report.records if rec.verdict["kind"] == "prime"]
+    assert primes
+    for rec in primes:
+        assert rec.verdict["equality"] == "full"
+        shape = Polyomino.from_cells(rec.cells)
+        _assert_kernel_route_agrees(shape, _certifying_map(shape))
+
+
+def test_attempt_equality_rejects_unmarked_map_on_diamond(diamond16):
+    # The unmarked edge map kills every inner minor of diamond16, but its
+    # kernel is strictly larger than the (non-prime) minor ideal.
+    phi = toric_map_marked(diamond16, ())
+    assert check_containment(diamond16, phi)
+    with pytest.raises(CounterexampleFound, match="minor lattice"):
+        attempt_equality(diamond16, phi, Budget())
+
+
+def test_budget_stop_names_saturation_phase(frame3):
+    verdict = certify_primality(frame3, Budget(max_pairs=3))
+    assert verdict.kind == "prime" and verdict.equality == "containment-only"
+    first = format_var(vertex_ring(frame3)[0])
+    assert verdict.notes == (f"budget exhausted: pair cap (saturation check, {first})",)
 
 
 # --- ideal equality ---------------------------------------------------------
