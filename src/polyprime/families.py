@@ -57,7 +57,7 @@ from .toric import (
     PrimalityVerdict,
     UNLIMITED,
     attempt_equality,
-    certify_primality,
+    certify_closed_path,
 )
 from .zigzag import find_zigzag_walk
 
@@ -103,17 +103,23 @@ def canonical_form(p: Polyomino) -> CanonicalForm:
 # Closed-path enumeration
 # ---------------------------------------------------------------------------
 
-def _vertex_clash(a: Cell, b: Cell) -> bool:
-    return abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1
-
-
 def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     """Every closed path of rank <= max_rank, once per canonical form.
 
     Depth-first extension of self-avoiding cell paths rooted at the
-    lexicographically least cell, with incremental pruning by the
-    vertex-disjointness condition; cycles close through a fixed neighbor of
-    the root, and surviving cycles are revalidated and deduplicated.
+    lexicographically least cell; cycles close through a fixed neighbor of
+    the root, and surviving cycles are revalidated and deduplicated.  Two
+    prunes keep the search small:
+
+    - vertex window: a new cell may share vertices only with the two cells
+      before it (and with the root, which closure validation checks), so
+      only the 9 cells around it are looked up in a cell -> position map;
+    - distance to closure: the path must still reach the closing cell, so
+      a step to ``nxt`` is skipped when ``len(path) + 1 + |nxt - closer|_1``
+      exceeds the rank bound.  A branch cut this way holds no closed path
+      within the bound, so the shapes and their order are unchanged.
+
+    Shapes are yielded in canonical position.
     """
     if max_rank < 8:
         raise ValueError("closed paths have rank at least 8")
@@ -123,7 +129,7 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     seen: set[CanonicalForm] = set()
 
     path: list[Cell] = [root, second]
-    member = {root, second}
+    position = {root: 0, second: 1}
 
     def emit() -> Polyomino | None:
         shape = Polyomino.from_cells(path)
@@ -139,40 +145,38 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     def extend() -> Iterator[Polyomino]:
         current = path[-1]
         x, y = current
+        length = len(path)
         for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-            if nxt in member:
+            if nxt in position:
                 continue
             if nxt < root:
                 continue
             if nxt == closer:
                 # Once the root's second neighbor is consumed the cycle is
                 # complete; growing through it can never close again.
-                if 5 <= len(path) <= max_rank - 1:
+                if 5 <= length <= max_rank - 1:
                     path.append(nxt)
-                    member.add(nxt)
+                    position[nxt] = length
                     result = emit()
                     if result is not None:
                         yield result
-                    member.discard(nxt)
+                    del position[nxt]
                     path.pop()
                 continue
-            if len(path) >= max_rank:
+            nx, ny = nxt
+            if length + 1 + abs(nx - closer[0]) + abs(ny - closer[1]) > max_rank:
                 continue
-            # Linear window: a new cell may share vertices only with the two
-            # preceding cells; the root is exempt until closure validation.
-            ok = True
-            for j in range(len(path) - 2):
-                if j == 0:
-                    continue
-                if _vertex_clash(nxt, path[j]):
-                    ok = False
-                    break
-            if not ok:
+            # Vertex window: positions 1 .. length - 3 may not touch nxt.
+            if any(
+                0 < position.get((nx + dx, ny + dy), 0) < length - 2
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+            ):
                 continue
             path.append(nxt)
-            member.add(nxt)
+            position[nxt] = length
             yield from extend()
-            member.discard(nxt)
+            del position[nxt]
             path.pop()
 
     yield from extend()
@@ -505,7 +509,11 @@ class ShapeRecord:
 
 def examine_shape(cells: tuple[Cell, ...], budget: Budget = UNLIMITED,
                   certify: bool = True) -> ShapeRecord:
-    """Feature scan plus (optional) certification of one closed path."""
+    """Feature scan plus (optional) certification of one closed path.
+
+    The certification reuses the scan's zig-zag walk, L-configurations and
+    ladders instead of searching for them again.
+    """
     shape = Polyomino.from_cells(cells)
     lconfigs = find_l_configurations(shape)
     ladders = find_ladders(shape, min_steps=3)
@@ -513,7 +521,7 @@ def examine_shape(cells: tuple[Cell, ...], budget: Budget = UNLIMITED,
     hole_list = holes(shape)
     record_verdict: dict
     if certify:
-        verdict = certify_primality(shape, budget)
+        verdict = certify_closed_path(shape, budget, witness, lconfigs, ladders)
         record_verdict = verdict.to_json_dict()
     else:
         record_verdict = {"kind": "skipped"}
@@ -599,7 +607,7 @@ def _cache_dir(explicit: str | None) -> Path | None:
 
 # Bump whenever a stored record could differ from what the current code
 # computes: a new record field, or a change to how verdicts are proved.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def _cache_key(budget: Budget, certify: bool) -> dict:
@@ -664,7 +672,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     :class:`CounterexampleFound` - that is the falsification channel.
     """
     shapes = sorted(
-        (canonical_form(p).cells for p in enumerate_closed_paths(max_rank)),
+        (p.sorted_cells() for p in enumerate_closed_paths(max_rank)),
         key=lambda cells: (len(cells), cells),
     )
     cache = _cache_dir(cache_dir)

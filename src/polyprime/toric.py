@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .classify import closed_path_certificate, find_l_configurations, find_ladders
+from .classify import (
+    LConfiguration,
+    Ladder,
+    closed_path_certificate,
+    find_l_configurations,
+    find_ladders,
+)
 from .grid import Polyomino, is_simple, vertices
 from .ideals import (
     Binomial,
@@ -359,18 +365,23 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
 
 
 def buchberger_engine(gens: Iterable[EngineBinomial], order: MonomialOrder,
-                      budget: Budget = UNLIMITED) -> list[EngineBinomial]:
+                      budget: Budget = UNLIMITED,
+                      clock: _BudgetClock | None = None) -> list[EngineBinomial]:
     """Reduced Groebner basis of a binomial ideal over exponent tuples.
 
     Normal selection strategy (ascending lcm degree) with Gebauer-Moeller
-    pair pruning.  Budget caps raise :class:`BudgetExhausted`.
+    pair pruning.  Budget caps raise :class:`BudgetExhausted`.  A run
+    starts its own clock from ``budget`` unless it is handed ``clock``, one
+    already running for a larger computation, whose caps then span every
+    run that shares it; only ``clock.tick_pair`` is used.
     """
     gens = list(gens)
     if not gens:
         return []
     n = len(gens[0][0])
     ring = _PackedRing(order, n)
-    clock = budget.start()
+    if clock is None:
+        clock = budget.start()
     packed = []
     for a, b in gens:
         pa, pb = ring.pack(a), ring.pack(b)
@@ -758,16 +769,18 @@ def check_saturated(gens: Sequence[EngineBinomial], ring: tuple[Var, ...],
     For each x_i, the reduced basis in degrevlex with x_i cheapest must
     have no leading monomial divisible by x_i; a basis element with such a
     lead is x_i times an element outside the ideal, so the test is exact.
-    The run for the last variable uses plain degrevlex.  On budget
-    exhaustion the exception's ``phase`` names the variable.
+    The run for the last variable uses plain degrevlex.  The budget caps
+    the n runs together: they share one clock.  On budget exhaustion the
+    exception's ``phase`` names the variable.
     """
     for lead, tail in gens:
         if sum(lead) != sum(tail):
             raise ValueError("the saturation check requires standard-graded binomials")
     n = len(ring)
+    clock = budget.start()
     for i in range(n):
         try:
-            basis = buchberger_engine(gens, MonomialOrder.degrevlex_cheapest(n, i), budget)
+            basis = buchberger_engine(gens, MonomialOrder.degrevlex_cheapest(n, i), clock=clock)
         except BudgetExhausted as exc:
             exc.phase = f"saturation check, {format_var(ring[i])}"
             raise
@@ -790,8 +803,9 @@ def attempt_equality(p: Polyomino, phi: ToricMap, budget: Budget) -> tuple[str, 
     saturating the ideal of any generating set of a lattice gives its
     lattice ideal (Eisenbud-Sturmfels, "Binomial ideals", 1996).  Each
     check fails exactly when I_P != ker(phi), and a failure raises
-    :class:`CounterexampleFound`.  Budget exhaustion downgrades to
-    containment-only, with a note naming the phase and the variable.
+    :class:`CounterexampleFound`.  The budget caps the whole proof, not
+    each Groebner run in it; exhaustion downgrades to containment-only,
+    with a note naming the phase and the variable.
     """
     ring = vertex_ring(p)
     minors = _to_engine(inner_minors(p), ring)
@@ -827,22 +841,32 @@ def certify_primality(p: Polyomino, budget: Budget = UNLIMITED) -> PrimalityVerd
             raise CounterexampleFound("edge map fails to kill an inner minor")
         equality, notes = attempt_equality(p, phi, budget)
         return PrimalityVerdict("prime", PROOF_SIMPLE, equality, notes=notes)
-    cert = closed_path_certificate(p)
-    if cert is None:
+    if closed_path_certificate(p) is None:
         raise NotInSupportedClass(
             "shape is neither simple nor a closed path; use the family pipeline"
         )
-    witness = find_zigzag_walk(p)
+    return certify_closed_path(p, budget, find_zigzag_walk(p),
+                               find_l_configurations(p), find_ladders(p, min_steps=3))
+
+
+def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None,
+                        lconfigs: Sequence[LConfiguration],
+                        ladders: Sequence[Ladder]) -> PrimalityVerdict:
+    """The closed-path step of :func:`certify_primality`, from a feature scan already made.
+
+    ``witness``, ``lconfigs`` and ``ladders`` must be what
+    ``find_zigzag_walk(p)``, ``find_l_configurations(p)`` and
+    ``find_ladders(p, min_steps=3)`` return, so a sweep that already ran
+    them does not run them again.  ``p`` must be a closed path.
+    """
     if witness is not None:
         if not verify_zigzag(p, witness):
             raise CounterexampleFound("zig-zag search returned an invalid witness")
         return PrimalityVerdict("nonprime", witness=witness)
-    lconfigs = find_l_configurations(p)
     if lconfigs:
         phi = toric_map_lconfig(p, lconfigs[0])
         proof = PROOF_LCONFIG
     else:
-        ladders = find_ladders(p, min_steps=3)
         if not ladders:
             raise CounterexampleFound(
                 "closed path with no zig-zag walk, no L-configuration, no 3-step ladder"

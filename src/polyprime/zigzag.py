@@ -56,6 +56,12 @@ def _other_pair(interval: Interval, corner: Point) -> tuple[Point, Point]:
     return tuple(c for c in interval.corners if c not in (corner, opposite))  # type: ignore[return-value]
 
 
+def _single_corner_meeting(a: Interval, b: Interval) -> bool:
+    """Do two intervals sharing a corner have no other common lattice point?"""
+    return (max(a.a[0], b.a[0]) == min(a.b[0], b.b[0])
+            and max(a.a[1], b.a[1]) == min(a.b[1], b.b[1]))
+
+
 def cocontained_in_inner_interval(p: Polyomino, s: Point, t: Point) -> bool:
     """Brute-force scan: does any inner interval contain both points?"""
     return any(i.contains_point(s) and i.contains_point(t) for i in inner_intervals(p))
@@ -121,6 +127,15 @@ def find_zigzag_walk(p: Polyomino) -> ZigZagWalk | None:
     for idx, interval in enumerate(inner):
         for c in interval.corners:
             corner_lookup.setdefault(c, []).append(idx)
+    # meets[i][c]: in index order, the intervals whose only common lattice
+    # point with interval i is its corner c.
+    meets: list[dict[Point, list[int]]] = [
+        {
+            c: [j for j in corner_lookup[c] if _single_corner_meeting(interval, inner[j])]
+            for c in interval.corners
+        }
+        for interval in inner
+    ]
     cocontained = _cocontainment_index(p)
 
     def compatible_z(z: Point, chosen: list[Point]) -> bool:
@@ -140,13 +155,10 @@ def find_zigzag_walk(p: Polyomino) -> ZigZagWalk | None:
 
                 def search() -> ZigZagWalk | None:
                     current = state_v[-1]
-                    prev_idx = state_intervals[-1]
-                    for idx in corner_lookup.get(current, ()):
+                    for idx in meets[state_intervals[-1]][current]:
                         if idx <= anchor or idx in state_intervals:
                             continue
                         candidate = inner[idx]
-                        if inner[prev_idx].intersection_points(candidate) != frozenset({current}):
-                            continue
                         z = _opposite_corner(candidate, current)
                         if not compatible_z(z, state_z):
                             continue
@@ -159,8 +171,7 @@ def find_zigzag_walk(p: Polyomino) -> ZigZagWalk | None:
                             if (
                                 v_next == state_v[0]
                                 and len(state_intervals) >= 3
-                                and candidate.intersection_points(first)
-                                == frozenset({state_v[0]})
+                                and anchor in meets[idx][v_next]
                             ):
                                 walk = ZigZagWalk(
                                     tuple(inner[i] for i in state_intervals),

@@ -114,6 +114,62 @@ def test_enumeration_completeness_against_naive_oracle():
     assert fast == naive
 
 
+def _reference_closed_paths(max_rank: int):
+    """The enumerator before its distance-to-closure prune, kept as a reference.
+
+    Same depth-first search, but every step is checked against the whole
+    path for shared vertices, and no branch is cut for being too far from
+    the closing cell.
+    """
+    root, second, closer = (0, 0), (1, 0), (0, 1)
+    seen = set()
+    path = [root, second]
+    member = {root, second}
+
+    def clash(a, b):
+        return abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1
+
+    def extend():
+        x, y = path[-1]
+        for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+            if nxt in member or nxt < root:
+                continue
+            if nxt == closer:
+                if 5 <= len(path) <= max_rank - 1:
+                    shape = Polyomino.from_cells(path + [nxt])
+                    if closed_path_certificate(shape) is not None:
+                        form = canonical_form(shape)
+                        if form not in seen:
+                            seen.add(form)
+                            yield form
+                continue
+            if len(path) >= max_rank:
+                continue
+            if any(clash(nxt, path[j]) for j in range(1, len(path) - 2)):
+                continue
+            path.append(nxt)
+            member.add(nxt)
+            yield from extend()
+            member.discard(nxt)
+            path.pop()
+
+    yield from extend()
+
+
+def test_enumeration_matches_unpruned_reference():
+    reference = list(_reference_closed_paths(16))
+    pruned = [canonical_form(p) for p in enumerate_closed_paths(16)]
+    assert len(pruned) == 35
+    assert set(pruned) == set(reference)
+    # The prune only cuts branches that yield nothing, so the order holds too.
+    assert pruned == reference
+
+
+def test_enumeration_yields_canonical_position():
+    for shape in enumerate_closed_paths(14):
+        assert canonical_form(shape).cells == shape.sorted_cells()
+
+
 def test_all_polyominoes_known_counts():
     from collections import Counter
 
@@ -305,6 +361,29 @@ def test_verify_main_theorem_rank10_structural():
     assert report.summary()["counterexamples"] == 0
     assert report.per_rank_counts() == {8: 1, 10: 1}
     assert report.minimal_zigzag_rank() is None
+
+
+def test_verify_main_theorem_rank18_structural():
+    summary = verify_main_theorem(18, certify=False).summary()
+    assert summary["shapes"] == 112
+    assert summary["zigzag_shapes"] == 2
+    assert summary["minimal_zigzag_rank"] == 16
+
+
+def test_examine_shape_scans_once(monkeypatch, frame3):
+    from polyprime import families, toric
+
+    calls = []
+    for module in (families, toric):
+        for name in ("find_zigzag_walk", "find_l_configurations", "find_ladders"):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw),
+            )
+    record = examine_shape(tuple(sorted(frame3.cells)), Budget(), certify=True)
+    assert record.verdict["kind"] == "prime"
+    assert sorted(calls) == ["find_l_configurations", "find_ladders", "find_zigzag_walk"]
 
 
 def test_verify_main_theorem_rank12_certified():

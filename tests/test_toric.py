@@ -376,6 +376,15 @@ def test_budget_stop_names_saturation_phase(frame3):
     assert verdict.notes == (f"budget exhausted: pair cap (saturation check, {first})",)
 
 
+def test_budget_caps_the_whole_saturation_check(frame3):
+    # frame3's 16 saturation-check runs handle 876 S-pairs together and at
+    # most 75 each, so only a cap on their sum can stop this budget.
+    verdict = certify_primality(frame3, Budget(max_pairs=875))
+    assert verdict.equality == "containment-only"
+    assert len(verdict.notes) == 1
+    assert verdict.notes[0].startswith("budget exhausted: pair cap (saturation check, x_")
+
+
 # --- ideal equality ---------------------------------------------------------
 
 def test_ideal_equal_reflexive_and_sign_normalized():

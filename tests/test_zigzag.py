@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.families import enumerate_closed_paths
-from polyprime.grid import Interval, TRANSFORM_NAMES, inner_intervals, transform_polyomino
+from polyprime.grid import (
+    Interval,
+    Polyomino,
+    TRANSFORM_NAMES,
+    inner_intervals,
+    transform_polyomino,
+)
 from polyprime.zigzag import (
     ZigZagWalk,
     _cocontainment_index,
@@ -100,3 +108,20 @@ def test_equivalence_with_features_small_ranks():
         assert (witness is None) == features
         if witness is not None:
             assert verify_zigzag(shape, witness)
+
+
+# Digest of the zig-zag witnesses (or None) of every closed path of rank
+# <= 18, recorded before the search read single-corner meetings from a
+# table: the table must change no witness.
+WITNESS_DIGEST_R18 = "c4d187e1685364da3461cb1638c5d6020ba321c5b36d1ddb80382d876cce5de6"
+
+
+def test_witnesses_pinned_to_rank18():
+    digest = hashlib.sha256()
+    forms = sorted((p.sorted_cells() for p in enumerate_closed_paths(18)),
+                   key=lambda cells: (len(cells), cells))
+    assert len(forms) == 112
+    for cells in forms:
+        witness = find_zigzag_walk(Polyomino.from_cells(cells))
+        digest.update(json.dumps([cells, None if witness is None else witness.to_json()]).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST_R18
