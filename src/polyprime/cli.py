@@ -33,6 +33,7 @@ from .grid import (
     GridParseError,
     Polyomino,
     PolyominoError,
+    cell_list,
     format_shape_json,
     holes,
     inner_intervals,
@@ -45,6 +46,7 @@ from .ideals import (
     inner_minors,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_ring,
 )
 from .toric import (
     Budget,
@@ -53,7 +55,6 @@ from .toric import (
     NotInSupportedClass,
     certify_primality,
     toric_ideal,
-    vertex_ring,
 )
 from .zigzag import find_zigzag_walk
 
@@ -143,8 +144,8 @@ def _cmd_zigzag(args: argparse.Namespace) -> int:
     if witness is None:
         _emit(args, "none", {"witness": None})
     else:
-        payload = json.loads(witness.to_json())
-        _emit(args, f"zig-zag walk of length {witness.length}", {"witness": payload})
+        _emit(args, f"zig-zag walk of length {witness.length}",
+              {"witness": witness.to_json_dict()})
     return EXIT_OK
 
 
@@ -154,8 +155,12 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     ring = vertex_ring(shape)
     out = export_generators(ring, minors)
     if args.toric:
-        lconfigs = find_l_configurations(shape)
-        if args.marked == "lconfig" and lconfigs:
+        if args.marked == "lconfig":
+            lconfigs = find_l_configurations(shape)
+            if not lconfigs:
+                print("input error: --marked lconfig needs an L-configuration, "
+                      "and the shape has none", file=sys.stderr)
+                return EXIT_INPUT
             phi = toric_map_lconfig(shape, lconfigs[0])
         else:
             phi = toric_map_marked(shape, ())
@@ -233,8 +238,10 @@ def _parse_family_spec(path: str) -> tuple[Polyomino, FamilySpec]:
         data = json.loads(Path(path).read_text() if path != "-" else sys.stdin.read())
     except json.JSONDecodeError as exc:
         raise GridParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    if not isinstance(data, dict):
+        raise GridParseError("a family spec must be a JSON object")
     kind = data.get("kind")
-    cells = lambda key: tuple(tuple(c) for c in data[key])
+    cells = lambda key: cell_list(data, key)
     if kind == "psc":
         s = Polyomino.from_cells(cells("s"))
         c_path = OpenPath(cells("c"))
@@ -345,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridParseError, PolyominoError, FileNotFoundError, ValueError) as exc:
+    except (GridParseError, PolyominoError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExhausted as exc:

@@ -47,7 +47,7 @@ from .grid import (
     transform_cells,
     vertices,
 )
-from .ideals import check_containment, ladder_marked_set, toric_map_marked
+from .ideals import ladder_marked_set, toric_map_marked
 from .toric import (
     Budget,
     CounterexampleFound,
@@ -56,8 +56,8 @@ from .toric import (
     PROOF_MARKED,
     PrimalityVerdict,
     UNLIMITED,
-    attempt_equality,
     certify_closed_path,
+    prove_prime,
 )
 from .zigzag import find_zigzag_walk
 
@@ -132,14 +132,15 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     position = {root: 0, second: 1}
 
     def emit() -> Polyomino | None:
+        # Being a closed path is invariant under the dihedral group, so each
+        # canonical form needs its certificate checked only once.
         shape = Polyomino.from_cells(path)
-        cert = closed_path_certificate(shape)
-        if cert is None:
-            return None
         form = canonical_form(shape)
         if form in seen:
             return None
         seen.add(form)
+        if closed_path_certificate(shape) is None:
+            return None
         return form.polyomino()
 
     def extend() -> Iterator[Polyomino]:
@@ -470,11 +471,7 @@ def certify_family(p: Polyomino, spec: FamilySpec,
         if exc.index == 0:
             return PrimalityVerdict("inconclusive", reason=str(exc))
         raise
-    phi = toric_map_marked(p, marked)
-    if not check_containment(p, phi):
-        raise CounterexampleFound(f"{spec.kind} marked map fails to kill an inner minor")
-    equality, notes = attempt_equality(p, phi, budget)
-    return PrimalityVerdict("prime", proof, equality, notes=notes)
+    return prove_prime(p, toric_map_marked(p, marked), proof, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +555,6 @@ def _examine_worker(args: tuple[tuple[Cell, ...], Budget, bool]) -> ShapeRecord:
 class VerificationReport:
     max_rank: int
     records: list[ShapeRecord]
-    counterexamples: int = 0
 
     def per_rank_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -585,7 +581,9 @@ class VerificationReport:
             "zigzag_shapes": sum(1 for r in self.records if r.zigzag),
             "minimal_zigzag_rank": self.minimal_zigzag_rank(),
             "equality_downgrades": downgrades,
-            "counterexamples": self.counterexamples,
+            # A violated check raises CounterexampleFound, so a finished
+            # report has none.
+            "counterexamples": 0,
         }
 
     def to_json_lines(self) -> str:

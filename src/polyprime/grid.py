@@ -23,9 +23,6 @@ Orientation = Literal["h", "v"]
 HORIZONTAL: Orientation = "h"
 VERTICAL: Orientation = "v"
 
-NEIGHBOR_STEPS: tuple[Point, ...] = ((0, -1), (-1, 0), (1, 0), (0, 1))
-
-
 class PolyominoError(ValueError):
     """Invalid cell set."""
 
@@ -184,11 +181,6 @@ class Block:
 
     def vertices(self) -> frozenset[Point]:
         return frozenset(v for c in self.cells for v in cell_vertices(c))
-
-    def interval(self) -> Interval:
-        """The lattice interval spanned by the block's cells."""
-        first, last = self.cells[0], self.cells[-1]
-        return Interval(first, (last[0] + 1, last[1] + 1))
 
 
 @dataclass(frozen=True)
@@ -555,15 +547,20 @@ def parse_shape_json(text: str) -> Polyomino:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GridParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(data, dict) or "cells" not in data:
-        raise GridParseError('expected an object with a "cells" key')
-    cells = data["cells"]
+    return Polyomino.from_cells(cell_list(data, "cells"))
+
+
+def cell_list(data: object, key: str) -> tuple[Cell, ...]:
+    """The cells under ``key`` of a decoded JSON object, checked to be [x, y] integer pairs."""
+    if not isinstance(data, dict) or key not in data:
+        raise GridParseError(f'expected an object with a "{key}" key')
+    cells = data[key]
     if not isinstance(cells, list) or not all(
         isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(v, int) for v in c)
         for c in cells
     ):
-        raise GridParseError('"cells" must be a list of [x, y] integer pairs')
-    return Polyomino.from_cells(tuple(map(tuple, cells)))
+        raise GridParseError(f'"{key}" must be a list of [x, y] integer pairs')
+    return tuple(map(tuple, cells))
 
 
 def format_shape_json(p: Polyomino) -> str:

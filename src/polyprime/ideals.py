@@ -4,14 +4,20 @@ The generator ideal of a shape has one binomial per inner interval: the
 product of the diagonal-corner variables minus the product of the
 anti-diagonal ones.  A toric map sends each vertex to the product of the
 variables of its two maximal edge intervals, times an extra variable ``w``
-on a marked vertex set; the kernel of that map is what the engine in
-:mod:`polyprime.toric` computes.
+on a marked vertex set.  Its exponent matrix A has one column per vertex,
+in :func:`vertex_ring` order, and a binomial lies in the map's kernel
+exactly when A times its exponent difference is zero.
+
+The certification path works on the minors as exponent tuples over that
+same vertex order: :mod:`polyprime.toric` proves I_P = ker(phi) from those
+tuples and A.  The named :class:`Monomial`/:class:`Binomial` forms are for
+export and display.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .classify import Ladder, LConfiguration, find_l_configurations, find_ladders
 from .grid import (
@@ -33,6 +39,9 @@ from .grid import (
 # variables are ("v", k) / ("h", k) for the k-th maximal vertical/horizontal
 # edge interval and ("w",) for the marking variable.
 Var = tuple
+Mono = tuple[int, ...]
+# (plus, minus) exponent tuples of a binomial over a fixed variable order.
+ExponentBinomial = tuple[Mono, Mono]
 
 X = "x"
 VEDGE = "v"
@@ -58,21 +67,17 @@ class Monomial:
         return cls(items)
 
     @classmethod
+    def from_exponents(cls, ring: Sequence[Var], exps: Mono) -> "Monomial":
+        """Name an exponent tuple by the variables of ``ring``."""
+        return cls.from_dict(dict(zip(ring, exps)))
+
+    @classmethod
     def one(cls) -> "Monomial":
         return cls(())
-
-    def as_dict(self) -> dict[Var, int]:
-        return dict(self.exponents)
 
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = self.as_dict()
-        for v, e in other.exponents:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial.from_dict(exps)
 
     def variables(self) -> tuple[Var, ...]:
         return tuple(v for v, _ in self.exponents)
@@ -105,29 +110,43 @@ class Binomial:
     plus: Monomial
     minus: Monomial
 
-    @property
-    def is_zero(self) -> bool:
-        return self.plus == self.minus
-
-    def vertex_support(self, side: str) -> frozenset[Point]:
-        mono = self.plus if side == "+" else self.minus
-        return frozenset(v[1] for v in mono.variables() if v[0] == X)
-
     def __str__(self) -> str:
         return f"{self.plus} - {self.minus}"
 
 
+def vertex_ring(p: Polyomino) -> tuple[Var, ...]:
+    """The vertex variables in sorted vertex order: the ring of I_P."""
+    return tuple(vertex_var(v) for v in sorted(vertices(p)))
+
+
+def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
+    """One (diagonal, anti-diagonal) exponent pair per inner interval.
+
+    Intervals come in the deterministic interval order; exponents are over
+    :func:`vertex_ring`, which is also the column order of
+    :func:`exponent_matrix`.
+    """
+    column = {v: i for i, v in enumerate(sorted(vertices(p)))}
+
+    def corners(a: Point, b: Point) -> Mono:
+        exps = [0] * len(column)
+        exps[column[a]] += 1
+        exps[column[b]] += 1
+        return tuple(exps)
+
+    return [
+        (corners(interval.a, interval.b), corners(*interval.anti_diagonal_corners))
+        for interval in inner_intervals(p)
+    ]
+
+
 def inner_minors(p: Polyomino) -> list[Binomial]:
-    """One binomial per inner interval, in the deterministic interval order."""
-    result = []
-    for interval in inner_intervals(p):
-        c, d = interval.anti_diagonal_corners
-        plus = Monomial.from_dict({vertex_var(interval.a): 1}) * Monomial.from_dict(
-            {vertex_var(interval.b): 1}
-        )
-        minus = Monomial.from_dict({vertex_var(c): 1}) * Monomial.from_dict({vertex_var(d): 1})
-        result.append(Binomial(plus, minus))
-    return result
+    """Named view of :func:`minor_exponents`, for export and display."""
+    ring = vertex_ring(p)
+    return [
+        Binomial(Monomial.from_exponents(ring, plus), Monomial.from_exponents(ring, minus))
+        for plus, minus in minor_exponents(p)
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,14 +182,23 @@ class ToricMap:
     def domain(self) -> tuple[Point, ...]:
         return tuple(v for v, _ in self.assignment)
 
-    def image(self, vertex: Point) -> Monomial:
-        for v, m in self.assignment:
-            if v == vertex:
-                return m
-        raise KeyError(vertex)
 
-    def as_dict(self) -> dict[Point, Monomial]:
-        return dict(self.assignment)
+@dataclass(frozen=True)
+class ExponentMatrix:
+    """Column r is the exponent vector of the image of vertex variable r."""
+
+    column_variables: tuple[Var, ...]
+    entries: tuple[tuple[int, ...], ...]
+
+
+def exponent_matrix(phi: ToricMap) -> ExponentMatrix:
+    columns = tuple(vertex_var(v) for v in phi.domain())
+    row_index = {v: i for i, v in enumerate(phi.target_variables)}
+    entries = [[0] * len(columns) for _ in phi.target_variables]
+    for col, (_, mono) in enumerate(phi.assignment):
+        for tv, te in mono.exponents:
+            entries[row_index[tv]][col] = te
+    return ExponentMatrix(columns, tuple(tuple(r) for r in entries))
 
 
 def toric_map_marked(p: Polyomino, marked: Iterable[Point]) -> ToricMap:
@@ -250,33 +278,13 @@ def toric_map_ladder(p: Polyomino, ladder: Ladder) -> ToricMap:
     return ToricMap.build(p, ladder_marked_set(ladder, p.cells))
 
 
-def evaluate(phi: ToricMap, f: Binomial) -> Binomial:
-    """Substitute vertex variables through the map, exactly.
-
-    The result is a binomial over the target variables; it is zero exactly
-    when the two image monomials coincide, i.e. when ``f`` lies in the
-    kernel of the map.
-    """
-    images = phi.as_dict()
-
-    def push(mono: Monomial) -> Monomial:
-        out: dict[Var, int] = {}
-        for var, exp in mono.exponents:
-            if var[0] != X:
-                raise ValueError(f"not a vertex variable: {var}")
-            image = images.get(var[1])
-            if image is None:
-                raise ValueError(f"vertex {var[1]} outside the map's domain")
-            for tv, te in image.exponents:
-                out[tv] = out.get(tv, 0) + te * exp
-        return Monomial.from_dict(out)
-
-    return Binomial(push(f.plus), push(f.minus))
-
-
-def check_containment(p: Polyomino, phi: ToricMap) -> bool:
-    """True iff every inner 2-minor evaluates to zero under the map."""
-    return all(evaluate(phi, g).is_zero for g in inner_minors(p))
+def check_containment(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix) -> bool:
+    """True iff A * (plus - minus) = 0 for every minor: all lie in ker(phi)."""
+    return all(
+        sum(a * (x - y) for a, x, y in zip(row, plus, minus)) == 0
+        for plus, minus in minors
+        for row in matrix.entries
+    )
 
 
 def export_generators(variables: Iterable[Var], binomials: Iterable[Binomial]) -> str:

@@ -31,24 +31,24 @@ from .classify import (
     find_l_configurations,
     find_ladders,
 )
-from .grid import Polyomino, is_simple, vertices
+from .grid import Polyomino, is_simple
 from .ideals import (
     Binomial,
+    ExponentBinomial,
+    ExponentMatrix,
+    Mono,
     Monomial,
     ToricMap,
     Var,
     check_containment,
+    exponent_matrix,
     format_var,
-    inner_minors,
+    minor_exponents,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
-    vertex_var,
 )
 from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag
-
-Mono = tuple[int, ...]
-EngineBinomial = tuple[Mono, Mono]
 
 _FIELD_BITS = 20
 _FIELD_MAX = 1 << (_FIELD_BITS - 1)
@@ -121,53 +121,35 @@ UNLIMITED = Budget()
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative well-order on exponent tuples.
+    """A degree reverse lexicographic order on exponent tuples.
 
-    ``significance`` lists ring positions from most to least significant.
+    ``significance`` lists ring positions from most to least significant;
+    the last one is the cheapest variable.
     """
 
-    kind: str  # "degrevlex" | "lex"
     significance: tuple[int, ...]
-
-    def key(self, m: Mono):
-        mm = tuple(m[i] for i in self.significance)
-        if self.kind == "lex":
-            return mm
-        return (sum(m), tuple(-e for e in reversed(mm)))
 
     @classmethod
     def degrevlex(cls, n: int) -> "MonomialOrder":
-        return cls("degrevlex", tuple(range(n)))
-
-    @classmethod
-    def lex(cls, n: int) -> "MonomialOrder":
-        return cls("lex", tuple(range(n)))
+        return cls(tuple(range(n)))
 
     @classmethod
     def degrevlex_cheapest(cls, n: int, cheapest: int) -> "MonomialOrder":
-        sig = tuple(i for i in range(n) if i != cheapest) + (cheapest,)
-        return cls("degrevlex", sig)
+        return cls(tuple(i for i in range(n) if i != cheapest) + (cheapest,))
 
 
 class _PackedRing:
     """Bit-field packing of exponent tuples aligned with a monomial order.
 
-    For degrevlex the cheapest variable occupies the most significant
-    field, so that (deg, packed) with the integer comparison *reversed*
-    realizes the order; for lex the most significant variable sits on top
-    and plain integer comparison realizes it.
+    The cheapest variable occupies the most significant field, so that
+    (deg, packed) with the integer comparison *reversed* realizes degrevlex.
     """
 
-    __slots__ = ("n", "kind", "field_of", "var_of", "guards", "ones", "low")
+    __slots__ = ("n", "field_of", "var_of", "guards", "ones", "low")
 
     def __init__(self, order: MonomialOrder, n: int):
         self.n = n
-        self.kind = order.kind
-        sig = order.significance
-        if order.kind == "degrevlex":
-            field_of = {sig[k]: k for k in range(n)}
-        else:
-            field_of = {sig[k]: n - 1 - k for k in range(n)}
+        field_of = {var: k for k, var in enumerate(order.significance)}
         self.field_of = tuple(field_of[i] for i in range(n))
         self.var_of = tuple(sorted(range(n), key=lambda i: self.field_of[i]))
         self.guards = sum(1 << (k * _FIELD_BITS + _FIELD_BITS - 1) for k in range(n))
@@ -215,11 +197,9 @@ class _PackedRing:
         return total
 
     def greater(self, deg_a: int, a: int, deg_b: int, b: int) -> bool:
-        if self.kind == "degrevlex":
-            if deg_a != deg_b:
-                return deg_a > deg_b
-            return a < b
-        return a > b
+        if deg_a != deg_b:
+            return deg_a > deg_b
+        return a < b
 
 
 # Engine-internal binomial: (deg_lead, packed_lead, deg_tail, packed_tail).
@@ -274,7 +254,7 @@ def _pk_full_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Pac
 
 def _pk_interreduce(ring: _PackedRing, basis: list[_Packed]) -> list[_Packed]:
     """Minimal generators with irreducible tails: the reduced basis."""
-    ordered = sorted(set(basis), key=lambda g: (g[0], -g[1]) if ring.kind == "degrevlex" else (-g[1],))
+    ordered = sorted(set(basis), key=lambda g: (g[0], -g[1]))
     minimal: list[_Packed] = []
     for g in ordered:
         if any(h[0] <= g[0] and ring.divides(h[1], g[1]) for h in minimal):
@@ -286,8 +266,7 @@ def _pk_interreduce(ring: _PackedRing, basis: list[_Packed]) -> list[_Packed]:
         reduced = _pk_full_reduce(ring, g, others)
         if reduced is not None:
             result.append(reduced)
-    result.sort(key=lambda g: (g[0], -g[1], g[2], -g[3]) if ring.kind == "degrevlex"
-                else (-g[1], -g[3]))
+    result.sort(key=lambda g: (g[0], -g[1], g[2], -g[3]))
     return result
 
 
@@ -364,9 +343,9 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
     return _pk_interreduce(ring, basis)
 
 
-def buchberger_engine(gens: Iterable[EngineBinomial], order: MonomialOrder,
+def buchberger_engine(gens: Iterable[ExponentBinomial], order: MonomialOrder,
                       budget: Budget = UNLIMITED,
-                      clock: _BudgetClock | None = None) -> list[EngineBinomial]:
+                      clock: _BudgetClock | None = None) -> list[ExponentBinomial]:
     """Reduced Groebner basis of a binomial ideal over exponent tuples.
 
     Normal selection strategy (ascending lcm degree) with Gebauer-Moeller
@@ -392,8 +371,8 @@ def buchberger_engine(gens: Iterable[EngineBinomial], order: MonomialOrder,
     return [(ring.unpack(lead), ring.unpack(tail)) for _, lead, _, tail in reduced]
 
 
-def saturate_engine(gens: Iterable[EngineBinomial], var_index: int, n: int,
-                    budget: Budget = UNLIMITED) -> list[EngineBinomial]:
+def saturate_engine(gens: Iterable[ExponentBinomial], var_index: int, n: int,
+                    budget: Budget = UNLIMITED) -> list[ExponentBinomial]:
     """Generators of (ideal : x_i^infinity) for standard-graded binomials.
 
     With the saturating variable cheapest in degrevlex, a homogeneous
@@ -407,7 +386,7 @@ def saturate_engine(gens: Iterable[EngineBinomial], var_index: int, n: int,
             raise ValueError("saturation requires standard-graded binomials")
     order = MonomialOrder.degrevlex_cheapest(n, var_index)
     basis = buchberger_engine(gens, order, budget)
-    divided: list[EngineBinomial] = []
+    divided: list[ExponentBinomial] = []
     for lead, tail in basis:
         k = min(lead[var_index], tail[var_index])
         if k:
@@ -523,7 +502,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[EngineBinomial]:
+def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[ExponentBinomial]:
     """One binomial x^{u+} - x^{u-} per lattice basis vector."""
     gens = []
     for vec in basis_vectors:
@@ -535,37 +514,11 @@ def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[EngineB
     return gens
 
 
-def lattice_basis_ideal(basis_vectors: Iterable[Sequence[int]],
-                        ring: tuple[Var, ...]) -> list[Binomial]:
-    """Named-variable form of the lattice-basis binomials."""
-    return _from_engine(lattice_ideal_engine(basis_vectors), tuple(ring))
-
-
 # ---------------------------------------------------------------------------
 # Named-variable layer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Column r is the exponent vector of the image of vertex variable r."""
-
-    row_variables: tuple[Var, ...]
-    column_variables: tuple[Var, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-
-def exponent_matrix(phi: ToricMap) -> ExponentMatrix:
-    columns = tuple(vertex_var(v) for v in phi.domain())
-    rows = phi.target_variables
-    row_index = {v: i for i, v in enumerate(rows)}
-    entries = [[0] * len(columns) for _ in rows]
-    for col, (_, mono) in enumerate(phi.assignment):
-        for tv, te in mono.exponents:
-            entries[row_index[tv]][col] = te
-    return ExponentMatrix(rows, columns, tuple(tuple(r) for r in entries))
-
-
-def _to_engine(binomials: Iterable[Binomial], ring: tuple[Var, ...]) -> list[EngineBinomial]:
+def _to_engine(binomials: Iterable[Binomial], ring: tuple[Var, ...]) -> list[ExponentBinomial]:
     index = {v: i for i, v in enumerate(ring)}
     out = []
     for b in binomials:
@@ -579,36 +532,22 @@ def _to_engine(binomials: Iterable[Binomial], ring: tuple[Var, ...]) -> list[Eng
     return out
 
 
-def _from_engine(pairs: Iterable[EngineBinomial], ring: tuple[Var, ...]) -> list[Binomial]:
-    out = []
-    for lead, tail in pairs:
-        plus = Monomial.from_dict({ring[i]: e for i, e in enumerate(lead) if e})
-        minus = Monomial.from_dict({ring[i]: e for i, e in enumerate(tail) if e})
-        out.append(Binomial(plus, minus))
-    return out
+def _from_engine(pairs: Iterable[ExponentBinomial], ring: tuple[Var, ...]) -> list[Binomial]:
+    return [
+        Binomial(Monomial.from_exponents(ring, lead), Monomial.from_exponents(ring, tail))
+        for lead, tail in pairs
+    ]
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis over a named ring; generators sorted canonically."""
+    """Reduced degrevlex basis over a named ring; generators sorted canonically."""
 
     ring: tuple[Var, ...]
-    order_kind: str
     generators: tuple[Binomial, ...]
-    reduced: bool = True
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order_kind,
-            "reduced": self.reduced,
-            "variables": [format_var(v) for v in self.ring],
-            "generators": [
-                {"plus": str(g.plus), "minus": str(g.minus)} for g in self.generators
-            ],
-        }
 
 
 def buchberger(gens: Iterable[Binomial], ring: tuple[Var, ...],
@@ -619,7 +558,7 @@ def buchberger(gens: Iterable[Binomial], ring: tuple[Var, ...],
     if order is None:
         order = MonomialOrder.degrevlex(len(ring))
     reduced = buchberger_engine(_to_engine(gens, ring), order, budget)
-    return GroebnerBasis(ring, order.kind, tuple(_from_engine(reduced, ring)))
+    return GroebnerBasis(ring, tuple(_from_engine(reduced, ring)))
 
 
 def saturate(gens: Iterable[Binomial], var: Var, ring: tuple[Var, ...],
@@ -633,7 +572,7 @@ def saturate(gens: Iterable[Binomial], var: Var, ring: tuple[Var, ...],
 
 
 def _toric_gb_engine(matrix: Sequence[Sequence[int]], n: int,
-                     budget: Budget) -> list[EngineBinomial]:
+                     budget: Budget) -> list[ExponentBinomial]:
     kernel = integer_kernel(matrix)
     if not kernel:
         return []
@@ -658,7 +597,7 @@ def toric_ideal_from_matrix(matrix: Sequence[Sequence[int]], ring: tuple[Var, ..
         for row in matrix:
             if sum(r * e for r, e in zip(row, lead)) != sum(r * e for r, e in zip(row, tail)):
                 raise CounterexampleFound("basis element outside the map kernel")
-    return GroebnerBasis(ring, "degrevlex", tuple(_from_engine(reduced, ring)))
+    return GroebnerBasis(ring, tuple(_from_engine(reduced, ring)))
 
 
 def toric_ideal(phi: ToricMap, budget: Budget = UNLIMITED) -> GroebnerBasis:
@@ -747,22 +686,13 @@ class PrimalityVerdict:
             "kind": self.kind,
             "proof": self.proof,
             "equality": self.equality,
-            "witness": None if self.witness is None else {
-                "intervals": [{"a": list(i.a), "b": list(i.b)} for i in self.witness.intervals],
-                "v": [list(p) for p in self.witness.v],
-                "z": [list(p) for p in self.witness.z],
-                "u": [list(p) for p in self.witness.u],
-            },
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
             "reason": self.reason,
             "notes": list(self.notes),
         }
 
 
-def vertex_ring(p: Polyomino) -> tuple[Var, ...]:
-    return tuple(vertex_var(v) for v in sorted(vertices(p)))
-
-
-def check_saturated(gens: Sequence[EngineBinomial], ring: tuple[Var, ...],
+def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
                     budget: Budget = UNLIMITED) -> None:
     """Raise unless the homogeneous binomial ideal is saturated in every variable.
 
@@ -788,11 +718,14 @@ def check_saturated(gens: Sequence[EngineBinomial], ring: tuple[Var, ...],
             raise CounterexampleFound(f"generator ideal is not saturated in {format_var(ring[i])}")
 
 
-def attempt_equality(p: Polyomino, phi: ToricMap, budget: Budget) -> tuple[str, tuple[str, ...]]:
+def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
+                     budget: Budget) -> tuple[str, tuple[str, ...]]:
     """Prove I_P = ker(phi) from the inner minors, given containment.
 
-    Let L be the integer span of the minors' exponent vectors and A the
-    exponent matrix of phi; containment gives L inside ker_Z(A).
+    ``minors`` are the exponent tuples of :func:`minor_exponents` and
+    ``matrix`` the exponent matrix A of phi, whose columns follow the same
+    vertex order.  Let L be the integer span of the minors' exponent
+    vectors; containment gives L inside ker_Z(A).
 
     (a) Lattice check: L has the rank of ker_Z(A) and index 1 in its
         saturation, so L = ker_Z(A).
@@ -807,9 +740,7 @@ def attempt_equality(p: Polyomino, phi: ToricMap, budget: Budget) -> tuple[str, 
     each Groebner run in it; exhaustion downgrades to containment-only,
     with a note naming the phase and the variable.
     """
-    ring = vertex_ring(p)
-    minors = _to_engine(inner_minors(p), ring)
-    kernel_rank = len(integer_kernel(exponent_matrix(phi).entries))
+    kernel_rank = len(integer_kernel(matrix.entries))
     rank, index = lattice_rank_and_index(
         [tuple(a - b for a, b in zip(plus, minus)) for plus, minus in minors]
     )
@@ -820,10 +751,24 @@ def attempt_equality(p: Polyomino, phi: ToricMap, budget: Budget) -> tuple[str, 
     if index != 1:
         raise CounterexampleFound(f"minor lattice has index {index} in its saturation")
     try:
-        check_saturated(minors, ring, budget)
+        check_saturated(minors, matrix.column_variables, budget)
     except BudgetExhausted as exc:
         return EQUALITY_CONTAINMENT, (f"budget exhausted: {exc.reason} ({exc.phase})",)
     return EQUALITY_FULL, ()
+
+
+def prove_prime(p: Polyomino, phi: ToricMap, proof: str, budget: Budget) -> PrimalityVerdict:
+    """Prime verdict from a map whose kernel should be I_P.
+
+    Builds the minors' exponent tuples and phi's exponent matrix once;
+    :func:`check_containment` and then :func:`attempt_equality` read them.
+    """
+    minors = minor_exponents(p)
+    matrix = exponent_matrix(phi)
+    if not check_containment(minors, matrix):
+        raise CounterexampleFound(f"{proof} map fails to kill an inner minor")
+    equality, notes = attempt_equality(minors, matrix, budget)
+    return PrimalityVerdict("prime", proof, equality, notes=notes)
 
 
 def certify_primality(p: Polyomino, budget: Budget = UNLIMITED) -> PrimalityVerdict:
@@ -836,11 +781,7 @@ def certify_primality(p: Polyomino, budget: Budget = UNLIMITED) -> PrimalityVerd
     (:func:`attempt_equality`).
     """
     if is_simple(p):
-        phi = toric_map_marked(p, ())
-        if not check_containment(p, phi):
-            raise CounterexampleFound("edge map fails to kill an inner minor")
-        equality, notes = attempt_equality(p, phi, budget)
-        return PrimalityVerdict("prime", PROOF_SIMPLE, equality, notes=notes)
+        return prove_prime(p, toric_map_marked(p, ()), PROOF_SIMPLE, budget)
     if closed_path_certificate(p) is None:
         raise NotInSupportedClass(
             "shape is neither simple nor a closed path; use the family pipeline"
@@ -881,7 +822,4 @@ def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None
         if phi is None:
             raise CounterexampleFound("no ladder admits the reference arrangement")
         proof = PROOF_LADDER
-    if not check_containment(p, phi):
-        raise CounterexampleFound(f"{proof} map fails to kill an inner minor")
-    equality, notes = attempt_equality(p, phi, budget)
-    return PrimalityVerdict("prime", proof, equality, notes=notes)
+    return prove_prime(p, phi, proof, budget)

@@ -33,14 +33,16 @@ class ZigZagWalk:
     def length(self) -> int:
         return len(self.intervals)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "intervals": [{"a": list(i.a), "b": list(i.b)} for i in self.intervals],
             "v": [list(p) for p in self.v],
             "z": [list(p) for p in self.z],
             "u": [list(p) for p in self.u],
         }
-        return json.dumps(payload, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 def _opposite_corner(interval: Interval, corner: Point) -> Point:

@@ -5,6 +5,7 @@ import pytest
 from polyprime.classify import OpenPath, trimino_certificate
 from polyprime.families import build_psc, build_rectangle_linked
 from polyprime.grid import Polyomino
+from polyprime.ideals import check_containment, exponent_matrix, minor_exponents
 
 FRAME3_CELLS = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
@@ -56,6 +57,11 @@ def diamond16() -> Polyomino:
 
 def rectangle(w: int, h: int) -> Polyomino:
     return Polyomino.from_cells([(x, y) for x in range(w) for y in range(h)])
+
+
+def kills_minors(shape: Polyomino, phi) -> bool:
+    """Containment of every inner minor of ``shape`` in ker(phi)."""
+    return check_containment(minor_exponents(shape), exponent_matrix(phi))
 
 
 def psc_parts():

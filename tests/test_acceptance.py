@@ -20,26 +20,25 @@ from polyprime.classify import (
 from polyprime.families import verify_main_theorem
 from polyprime.grid import Polyomino, holes
 from polyprime.ideals import (
-    check_containment,
+    exponent_matrix,
     inner_minors,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_ring,
 )
 from polyprime.toric import (
     Budget,
     buchberger,
     certify_primality,
-    exponent_matrix,
     kernel_complete_up_to_degree,
     saturate,
     toric_ideal,
     toric_ideal_from_matrix,
-    vertex_ring,
 )
 from polyprime.zigzag import find_zigzag_walk
 
-from conftest import FRAME3_CELLS, RING22_CELLS, rectangle
+from conftest import FRAME3_CELLS, RING22_CELLS, kills_minors, rectangle
 
 ABCD = (("a",), ("b",), ("c",), ("d",))
 TWISTED_CUBIC = [[3, 2, 1, 0], [0, 1, 2, 3]]
@@ -78,7 +77,7 @@ def criterion2_report() -> dict:
         "l_configurations": len(find_l_configurations(ring22)),
         "ladders3": len(ladders),
         "zigzag": find_zigzag_walk(ring22) is not None,
-        "containment": check_containment(ring22, phi),
+        "containment": kills_minors(ring22, phi),
         "verdict": verdict.to_json_dict(),
     }
 
@@ -239,7 +238,7 @@ def test_criterion_6_family_constructors(psc_instance, good_l_instance, ladder_r
     ):
         assert len(holes(shape)) == 1
         marked, _ = family_marked_set(shape, spec)
-        assert check_containment(shape, toric_map_marked(shape, marked))
+        assert kills_minors(shape, toric_map_marked(shape, marked))
         verdict = certify_family(shape, spec, Budget(max_seconds=100))
         assert verdict.kind == "prime"
         results[name] = verdict.equality

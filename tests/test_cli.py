@@ -106,6 +106,14 @@ def test_ideal_with_toric(frame3_grid, capsys):
     assert out.count("ring ") == 2
 
 
+def test_ideal_lconfig_marking_needs_an_lconfiguration(ring22_json, capsys):
+    # ring22 has no L-configuration; the unmarked map must not stand in for it.
+    assert main(["ideal", ring22_json, "--toric", "--marked", "lconfig"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and "L-configuration" in captured.err
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", "--max-rank", "10"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -168,6 +176,25 @@ def test_family_psc_command(tmp_path, capsys, psc_instance):
     assert main(["family", str(path), "--json"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["holes"] == 1
+
+
+def test_family_spec_not_an_object_exit4(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["family", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_family_spec_part_not_a_cell_list_exit4(tmp_path, capsys):
+    path = tmp_path / "bad_part.json"
+    path.write_text(json.dumps({"kind": "psc", "s": 5, "c": [[0, 0]], "t1": [[1, 1]], "t2": [[2, 2]]}))
+    assert main(["family", str(path)]) == 4
+    assert '"s" must be a list of [x, y] integer pairs' in capsys.readouterr().err
+
+
+def test_certify_directory_exit4(tmp_path, capsys):
+    assert main(["certify", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_family_invalid_spec_exit4(tmp_path, capsys):
