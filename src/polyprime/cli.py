@@ -42,8 +42,10 @@ from .grid import (
     parse_shape_json,
 )
 from .ideals import (
+    exponent_matrix,
     export_generators,
     inner_minors,
+    named_binomials,
     toric_map_lconfig,
     toric_map_marked,
     vertex_ring,
@@ -166,11 +168,11 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             phi = toric_map_marked(shape, ())
         budget = _budget_from_args(args)
         try:
-            gb = toric_ideal(phi, budget)
+            basis = toric_ideal(exponent_matrix(phi).entries, budget)
         except BudgetExhausted as exc:
             print(f"budget exhausted: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        out += "\n" + export_generators(gb.ring, gb.generators)
+        out += "\n" + export_generators(ring, named_binomials(ring, basis))
     sys.stdout.write(out)
     if args.output:
         Path(args.output).write_text(out)

@@ -16,6 +16,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -546,11 +547,6 @@ def examine_shape(cells: tuple[Cell, ...], budget: Budget = UNLIMITED,
     )
 
 
-def _examine_worker(args: tuple[tuple[Cell, ...], Budget, bool]) -> ShapeRecord:
-    cells, budget, certify = args
-    return examine_shape(cells, budget, certify)
-
-
 @dataclass
 class VerificationReport:
     max_rank: int
@@ -688,11 +684,8 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     fresh: dict[tuple[Cell, ...], ShapeRecord] = {}
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(
-                _examine_worker,
-                [(cells, budget, certify) for cells in pending],
-                chunksize=1,
-            ):
+            for record in pool.map(examine_shape, pending, repeat(budget), repeat(certify),
+                                   chunksize=1):
                 fresh[record.cells] = record
     else:
         for cells in pending:

@@ -10,8 +10,9 @@ exactly when A times its exponent difference is zero.
 
 The certification path works on the minors as exponent tuples over that
 same vertex order: :mod:`polyprime.toric` proves I_P = ker(phi) from those
-tuples and A.  The named :class:`Monomial`/:class:`Binomial` forms are for
-export and display.
+tuples and A, and computes kernel bases as tuples too.  The named
+:class:`Monomial`/:class:`Binomial` forms are for export and display, made
+by :func:`named_binomials`.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class Monomial:
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent")
         return cls(items)
-
-    @classmethod
-    def from_exponents(cls, ring: Sequence[Var], exps: Mono) -> "Monomial":
-        """Name an exponent tuple by the variables of ``ring``."""
-        return cls.from_dict(dict(zip(ring, exps)))
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -140,13 +136,16 @@ def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
     ]
 
 
+def named_binomials(ring: Sequence[Var],
+                    binomials: Iterable[ExponentBinomial]) -> list[Binomial]:
+    """Name exponent binomials by the variables of ``ring``, for export and display."""
+    name = lambda exps: Monomial.from_dict(dict(zip(ring, exps)))
+    return [Binomial(name(plus), name(minus)) for plus, minus in binomials]
+
+
 def inner_minors(p: Polyomino) -> list[Binomial]:
     """Named view of :func:`minor_exponents`, for export and display."""
-    ring = vertex_ring(p)
-    return [
-        Binomial(Monomial.from_exponents(ring, plus), Monomial.from_exponents(ring, minus))
-        for plus, minus in minor_exponents(p)
-    ]
+    return named_binomials(vertex_ring(p), minor_exponents(p))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Exact binomial-ideal engine and the primality certification pipeline.
 
 Everything runs over arbitrary-precision integers.  Monomials are exponent
-tuples over a fixed, sorted variable ring; inside the Groebner core they
-are packed into single big integers (one bit field per variable plus a
-guard bit) so that divisibility, multiplication, and order comparison are
-constant-count big-int operations.
+tuples over a fixed variable order, and the Groebner functions take and
+return nothing else; variable names are attached at export
+(:func:`polyprime.ideals.named_binomials`) and in verdict notes.  Inside
+the Groebner core the tuples are packed into single big integers (one bit
+field per variable plus a guard bit) so that divisibility, multiplication,
+and order comparison are constant-count big-int operations.  The only
+orders are degrevlex with one chosen variable cheapest.
 
 A Prime verdict proves I_P = ker(phi) from the inner minors alone.  Given
 containment, the minors' exponent lattice must equal the integer kernel of
@@ -33,11 +36,9 @@ from .classify import (
 )
 from .grid import Polyomino, is_simple
 from .ideals import (
-    Binomial,
     ExponentBinomial,
     ExponentMatrix,
     Mono,
-    Monomial,
     ToricMap,
     Var,
     check_containment,
@@ -81,7 +82,11 @@ class CounterexampleFound(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for a single ideal computation; ``None`` means unlimited."""
+    """Caps for one certification or one kernel basis; ``None`` means unlimited.
+
+    Each public entry point calls :meth:`start` once and hands the clock
+    to every Groebner run it makes, so the caps bound their sum.
+    """
 
     max_pairs: int | None = None
     max_degree: int | None = None
@@ -116,42 +121,27 @@ UNLIMITED = Budget()
 
 
 # ---------------------------------------------------------------------------
-# Monomial orders and the packed representation
+# The packed representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A degree reverse lexicographic order on exponent tuples.
-
-    ``significance`` lists ring positions from most to least significant;
-    the last one is the cheapest variable.
-    """
-
-    significance: tuple[int, ...]
-
-    @classmethod
-    def degrevlex(cls, n: int) -> "MonomialOrder":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def degrevlex_cheapest(cls, n: int, cheapest: int) -> "MonomialOrder":
-        return cls(tuple(i for i in range(n) if i != cheapest) + (cheapest,))
-
-
 class _PackedRing:
-    """Bit-field packing of exponent tuples aligned with a monomial order.
+    """Bit-field packing of exponent tuples for degrevlex with one cheapest variable.
 
-    The cheapest variable occupies the most significant field, so that
-    (deg, packed) with the integer comparison *reversed* realizes degrevlex.
+    The other variables keep their ring order, the first most significant;
+    ``cheapest = n - 1`` gives plain degrevlex.  The cheapest variable
+    occupies the most significant field, so that (deg, packed) with the
+    integer comparison *reversed* realizes degrevlex.
     """
 
     __slots__ = ("n", "field_of", "var_of", "guards", "ones", "low")
 
-    def __init__(self, order: MonomialOrder, n: int):
+    def __init__(self, n: int, cheapest: int):
         self.n = n
-        field_of = {var: k for k, var in enumerate(order.significance)}
-        self.field_of = tuple(field_of[i] for i in range(n))
-        self.var_of = tuple(sorted(range(n), key=lambda i: self.field_of[i]))
+        self.var_of = tuple(i for i in range(n) if i != cheapest) + (cheapest,)
+        field_of = [0] * n
+        for k, var in enumerate(self.var_of):
+            field_of[var] = k
+        self.field_of = tuple(field_of)
         self.guards = sum(1 << (k * _FIELD_BITS + _FIELD_BITS - 1) for k in range(n))
         self.ones = sum(1 << (k * _FIELD_BITS) for k in range(n))
         self.low = (1 << _FIELD_BITS) - 1
@@ -343,24 +333,20 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
     return _pk_interreduce(ring, basis)
 
 
-def buchberger_engine(gens: Iterable[ExponentBinomial], order: MonomialOrder,
-                      budget: Budget = UNLIMITED,
-                      clock: _BudgetClock | None = None) -> list[ExponentBinomial]:
+def buchberger_engine(gens: Iterable[ExponentBinomial], cheapest: int,
+                      clock: _BudgetClock) -> list[ExponentBinomial]:
     """Reduced Groebner basis of a binomial ideal over exponent tuples.
 
-    Normal selection strategy (ascending lcm degree) with Gebauer-Moeller
-    pair pruning.  Budget caps raise :class:`BudgetExhausted`.  A run
-    starts its own clock from ``budget`` unless it is handed ``clock``, one
-    already running for a larger computation, whose caps then span every
-    run that shares it; only ``clock.tick_pair`` is used.
+    The order is degrevlex with variable ``cheapest`` the cheapest; the last
+    index gives plain degrevlex.  Normal selection strategy (ascending lcm
+    degree) with Gebauer-Moeller pair pruning.  Every S-pair goes through
+    ``clock.tick_pair``, the only call made on the clock, so one clock can
+    span many runs; a cap raises :class:`BudgetExhausted`.
     """
     gens = list(gens)
     if not gens:
         return []
-    n = len(gens[0][0])
-    ring = _PackedRing(order, n)
-    if clock is None:
-        clock = budget.start()
+    ring = _PackedRing(len(gens[0][0]), cheapest)
     packed = []
     for a, b in gens:
         pa, pb = ring.pack(a), ring.pack(b)
@@ -371,8 +357,16 @@ def buchberger_engine(gens: Iterable[ExponentBinomial], order: MonomialOrder,
     return [(ring.unpack(lead), ring.unpack(tail)) for _, lead, _, tail in reduced]
 
 
-def saturate_engine(gens: Iterable[ExponentBinomial], var_index: int, n: int,
-                    budget: Budget = UNLIMITED) -> list[ExponentBinomial]:
+def buchberger(gens: Iterable[ExponentBinomial],
+               budget: Budget = UNLIMITED) -> list[ExponentBinomial]:
+    """Reduced degrevlex basis of exponent binomials, sorted canonically."""
+    gens = list(gens)
+    n = len(gens[0][0]) if gens else 0
+    return buchberger_engine(gens, n - 1, budget.start())
+
+
+def saturate_engine(gens: Iterable[ExponentBinomial], var_index: int,
+                    clock: _BudgetClock) -> list[ExponentBinomial]:
     """Generators of (ideal : x_i^infinity) for standard-graded binomials.
 
     With the saturating variable cheapest in degrevlex, a homogeneous
@@ -384,10 +378,8 @@ def saturate_engine(gens: Iterable[ExponentBinomial], var_index: int, n: int,
     for lead, tail in gens:
         if sum(lead) != sum(tail):
             raise ValueError("saturation requires standard-graded binomials")
-    order = MonomialOrder.degrevlex_cheapest(n, var_index)
-    basis = buchberger_engine(gens, order, budget)
     divided: list[ExponentBinomial] = []
-    for lead, tail in basis:
+    for lead, tail in buchberger_engine(gens, var_index, clock):
         k = min(lead[var_index], tail[var_index])
         if k:
             lead = lead[:var_index] + (lead[var_index] - k,) + lead[var_index + 1:]
@@ -514,120 +506,46 @@ def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[Exponen
     return gens
 
 
-# ---------------------------------------------------------------------------
-# Named-variable layer
-# ---------------------------------------------------------------------------
+def toric_ideal(matrix: Sequence[Sequence[int]],
+                budget: Budget = UNLIMITED) -> list[ExponentBinomial]:
+    """Reduced degrevlex basis of the kernel ideal of the monomial map ``matrix``.
 
-def _to_engine(binomials: Iterable[Binomial], ring: tuple[Var, ...]) -> list[ExponentBinomial]:
-    index = {v: i for i, v in enumerate(ring)}
-    out = []
-    for b in binomials:
-        plus = [0] * len(ring)
-        minus = [0] * len(ring)
-        for v, e in b.plus.exponents:
-            plus[index[v]] = e
-        for v, e in b.minus.exponents:
-            minus[index[v]] = e
-        out.append((tuple(plus), tuple(minus)))
-    return out
-
-
-def _from_engine(pairs: Iterable[ExponentBinomial], ring: tuple[Var, ...]) -> list[Binomial]:
-    return [
-        Binomial(Monomial.from_exponents(ring, lead), Monomial.from_exponents(ring, tail))
-        for lead, tail in pairs
-    ]
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced degrevlex basis over a named ring; generators sorted canonically."""
-
-    ring: tuple[Var, ...]
-    generators: tuple[Binomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-
-def buchberger(gens: Iterable[Binomial], ring: tuple[Var, ...],
-               order: MonomialOrder | None = None,
-               budget: Budget = UNLIMITED) -> GroebnerBasis:
-    """Reduced Groebner basis of named binomials over the given ring."""
-    ring = tuple(ring)
-    if order is None:
-        order = MonomialOrder.degrevlex(len(ring))
-    reduced = buchberger_engine(_to_engine(gens, ring), order, budget)
-    return GroebnerBasis(ring, tuple(_from_engine(reduced, ring)))
-
-
-def saturate(gens: Iterable[Binomial], var: Var, ring: tuple[Var, ...],
-             budget: Budget = UNLIMITED) -> list[Binomial]:
-    """Generators of (ideal : var^infinity), as a reduced basis; idempotent."""
-    ring = tuple(ring)
-    idx = ring.index(var)
-    divided = saturate_engine(_to_engine(gens, ring), idx, len(ring), budget)
-    order = MonomialOrder.degrevlex_cheapest(len(ring), idx)
-    return _from_engine(buchberger_engine(divided, order, budget), ring)
-
-
-def _toric_gb_engine(matrix: Sequence[Sequence[int]], n: int,
-                     budget: Budget) -> list[ExponentBinomial]:
+    Exponent tuples over the matrix columns.  The lattice-basis ideal of
+    ``integer_kernel(matrix)`` is saturated by each variable in turn, then
+    reduced.  One clock from ``budget`` caps the n saturations and the
+    final run together.  Post-checks: a reduced basis of a saturated ideal
+    has coprime halves, and every element lies in the kernel of the map.
+    """
     kernel = integer_kernel(matrix)
     if not kernel:
         return []
+    n = len(matrix[0])
+    clock = budget.start()
     gens = lattice_ideal_engine(kernel)
     for var_index in range(n):
-        gens = saturate_engine(gens, var_index, n, budget)
-    reduced = buchberger_engine(gens, MonomialOrder.degrevlex(n), budget)
-    # Saturation sanity: a reduced basis of a monomial-saturated ideal has
-    # coprime halves in every element.
+        gens = saturate_engine(gens, var_index, clock)
+    reduced = buchberger_engine(gens, n - 1, clock)
     for lead, tail in reduced:
         if any(l and t for l, t in zip(lead, tail)):
             raise CounterexampleFound("saturation left a common monomial factor")
-    return reduced
-
-
-def toric_ideal_from_matrix(matrix: Sequence[Sequence[int]], ring: tuple[Var, ...],
-                            budget: Budget = UNLIMITED) -> GroebnerBasis:
-    """Reduced basis of the kernel ideal of a monomial map given by matrix."""
-    reduced = _toric_gb_engine(matrix, len(ring), budget)
-    # Kernel soundness: every generator must annihilate under the matrix.
-    for lead, tail in reduced:
         for row in matrix:
             if sum(r * e for r, e in zip(row, lead)) != sum(r * e for r, e in zip(row, tail)):
                 raise CounterexampleFound("basis element outside the map kernel")
-    return GroebnerBasis(ring, tuple(_from_engine(reduced, ring)))
-
-
-def toric_ideal(phi: ToricMap, budget: Budget = UNLIMITED) -> GroebnerBasis:
-    """Reduced basis of ker(phi) over the vertex variables, post-checked."""
-    mat = exponent_matrix(phi)
-    return toric_ideal_from_matrix(mat.entries, mat.column_variables, budget)
-
-
-def ideal_equal(a: Iterable[Binomial], b: Iterable[Binomial], ring: tuple[Var, ...],
-                budget: Budget = UNLIMITED) -> bool:
-    """Compare reduced bases of two binomial ideals under one fixed order."""
-    ga = buchberger(a, ring, budget=budget)
-    gb = buchberger(b, ring, budget=budget)
-    return ga.generators == gb.generators
+    return reduced
 
 
 def kernel_complete_up_to_degree(matrix: Sequence[Sequence[int]],
-                                 gb: GroebnerBasis, degree: int) -> bool:
+                                 basis: Sequence[ExponentBinomial], degree: int) -> bool:
     """Brute-force oracle: map-equal monomial pairs must share normal forms.
 
     Enumerates every monomial of total degree <= ``degree``, groups them by
-    image under the matrix, and checks that the reduced basis rewrites all
-    members of a group to one normal form.
+    image under the matrix, and checks that the reduced degrevlex basis
+    rewrites all members of a group to one normal form.
     """
-    n = len(gb.ring)
-    order = MonomialOrder.degrevlex(n)
-    ring = _PackedRing(order, n)
+    n = len(matrix[0])
+    ring = _PackedRing(n, n - 1)
     engine = [
-        (sum(lead), ring.pack(lead), sum(tail), ring.pack(tail))
-        for lead, tail in _to_engine(gb.generators, gb.ring)
+        (sum(lead), ring.pack(lead), sum(tail), ring.pack(tail)) for lead, tail in basis
     ]
 
     def normal_form(packed: int, deg: int) -> int:
@@ -706,11 +624,10 @@ def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
     for lead, tail in gens:
         if sum(lead) != sum(tail):
             raise ValueError("the saturation check requires standard-graded binomials")
-    n = len(ring)
     clock = budget.start()
-    for i in range(n):
+    for i in range(len(ring)):
         try:
-            basis = buchberger_engine(gens, MonomialOrder.degrevlex_cheapest(n, i), clock=clock)
+            basis = buchberger_engine(gens, i, clock)
         except BudgetExhausted as exc:
             exc.phase = f"saturation check, {format_var(ring[i])}"
             raise

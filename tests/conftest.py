@@ -6,6 +6,10 @@ from polyprime.classify import OpenPath, trimino_certificate
 from polyprime.families import build_psc, build_rectangle_linked
 from polyprime.grid import Polyomino
 from polyprime.ideals import check_containment, exponent_matrix, minor_exponents
+from polyprime.toric import UNLIMITED, buchberger_engine, saturate_engine
+
+# Exponent matrix of t -> (s^3, s^2 t, s t^2, t^3): the twisted cubic.
+TWISTED_CUBIC = [[3, 2, 1, 0], [0, 1, 2, 3]]
 
 FRAME3_CELLS = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
@@ -62,6 +66,12 @@ def rectangle(w: int, h: int) -> Polyomino:
 def kills_minors(shape: Polyomino, phi) -> bool:
     """Containment of every inner minor of ``shape`` in ker(phi)."""
     return check_containment(minor_exponents(shape), exponent_matrix(phi))
+
+
+def saturate_reduced(gens, var_index: int):
+    """Reduced basis of (ideal : x_i^infinity), in degrevlex with x_i cheapest."""
+    clock = UNLIMITED.start()
+    return buchberger_engine(saturate_engine(gens, var_index, clock), var_index, clock)
 
 
 def psc_parts():

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from polyprime.cli import main
 from polyprime.grid import format_grid, format_shape_json
+
+SHAPES = Path(__file__).resolve().parent.parent / "shapes"
+DATA = Path(__file__).resolve().parent / "data"
+
 
 @pytest.fixture()
 def frame3_grid(tmp_path, frame3):
@@ -100,10 +105,21 @@ def test_ideal_export(frame3_grid, capsys):
     assert len(out.strip().splitlines()) == 21  # header + 20 minors
 
 
-def test_ideal_with_toric(frame3_grid, capsys):
-    assert main(["ideal", frame3_grid, "--toric", "--marked", "lconfig"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ring ") == 2
+def test_ideal_with_toric(capsys):
+    # The whole stdout, the minors and then the kernel basis, byte for byte.
+    for marked in ("none", "lconfig"):
+        assert main(["ideal", str(SHAPES / "frame3.grid"), "--toric", "--marked", marked]) == 0
+        expected = (DATA / f"frame3_ideal_toric_{marked}.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+
+def test_ideal_toric_budget_caps_the_whole_kernel_computation(capsys):
+    # 471 S-pairs cover each of the 17 Gröbner runs of this kernel basis,
+    # but not all of them together.
+    assert main(["ideal", str(SHAPES / "frame3.grid"), "--toric", "--budget-pairs", "471"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: pair cap")
 
 
 def test_ideal_lconfig_marking_needs_an_lconfiguration(ring22_json, capsys):

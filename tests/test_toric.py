@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.grid import Polyomino
 from polyprime.ideals import (
-    Binomial,
-    Monomial,
     check_containment,
     exponent_matrix,
     format_var,
-    inner_minors,
     minor_exponents,
     toric_map_ladder,
     toric_map_lconfig,
@@ -22,38 +19,26 @@ from polyprime.toric import (
     Budget,
     BudgetExhausted,
     CounterexampleFound,
-    MonomialOrder,
     NotInSupportedClass,
+    UNLIMITED,
     attempt_equality,
     buchberger,
     buchberger_engine,
     certify_primality,
     check_saturated,
-    ideal_equal,
     integer_kernel,
     kernel_complete_up_to_degree,
     lattice_ideal_engine,
     lattice_rank_and_index,
-    saturate,
+    saturate_engine,
     toric_ideal,
-    toric_ideal_from_matrix,
 )
 
-from conftest import kills_minors, rectangle
+from conftest import TWISTED_CUBIC, kills_minors, rectangle, saturate_reduced
 
-ABCD = (("a",), ("b",), ("c",), ("d",))
-TWISTED_CUBIC = [[3, 2, 1, 0], [0, 1, 2, 3]]
-
-
-def mono(ring, **exps) -> Monomial:
-    return Monomial.from_dict({(name,): e for name, e in exps.items()})
-
-
-def binom(plus: dict, minus: dict) -> Binomial:
-    return Binomial(
-        Monomial.from_dict({(k,): v for k, v in plus.items()}),
-        Monomial.from_dict({(k,): v for k, v in minus.items()}),
-    )
+# Exponent tuples over (a, b, c, d) and over (x, y, z).
+AD_MINUS_BC = ((1, 0, 0, 1), (0, 1, 1, 0))
+XZ_MINUS_XY = ((1, 0, 1), (1, 1, 0))
 
 
 # --- integer kernel ---------------------------------------------------------
@@ -172,40 +157,36 @@ def test_lattice_ideal_sign_split():
 # --- buchberger -------------------------------------------------------------
 
 def test_buchberger_single_generator_is_basis():
-    f = binom({"a": 1, "d": 1}, {"b": 1, "c": 1})
-    gb = buchberger([f], ABCD)
+    gb = buchberger([AD_MINUS_BC])
     assert len(gb) == 1
 
 
 def test_buchberger_twisted_cubic_reduced_basis():
-    gb = toric_ideal_from_matrix(TWISTED_CUBIC, ABCD)
+    gb = toric_ideal(TWISTED_CUBIC)
     expected = {
-        binom({"b": 2}, {"a": 1, "c": 1}),
-        binom({"b": 1, "c": 1}, {"a": 1, "d": 1}),
-        binom({"c": 2}, {"b": 1, "d": 1}),
+        ((0, 2, 0, 0), (1, 0, 1, 0)),  # b^2 - a*c
+        ((0, 1, 1, 0), (1, 0, 0, 1)),  # b*c - a*d
+        ((0, 0, 2, 0), (0, 1, 0, 1)),  # c^2 - b*d
     }
-    assert set(gb.generators) == expected
+    assert set(gb) == expected
 
 
 def test_buchberger_square_kills_degree4_kernel():
     square = rectangle(2, 2)
-    ring = vertex_ring(square)
-    gb = buchberger(inner_minors(square), ring)
+    gb = buchberger(minor_exponents(square))
     mat = exponent_matrix(toric_map_marked(square, ()))
     assert kernel_complete_up_to_degree(mat.entries, gb, 4)
 
 
 def test_buchberger_determinism(frame3):
-    ring = vertex_ring(frame3)
-    first = buchberger(inner_minors(frame3), ring)
-    second = buchberger(list(reversed(inner_minors(frame3))), ring)
-    assert first.generators == second.generators
+    first = buchberger(minor_exponents(frame3))
+    second = buchberger(list(reversed(minor_exponents(frame3))))
+    assert first == second
 
 
 def test_budget_pair_cap(frame3):
-    ring = vertex_ring(frame3)
     with pytest.raises(BudgetExhausted) as err:
-        buchberger(inner_minors(frame3), ring, budget=Budget(max_pairs=3))
+        buchberger(minor_exponents(frame3), Budget(max_pairs=3))
     assert err.value.pairs == 4
     assert err.value.basis_size is not None and err.value.basis_size >= 20
 
@@ -218,49 +199,49 @@ def test_packed_field_overflow_raises():
     k = _FIELD_MAX // 2
     gens = [((k, 0), (0, k)), ((1, k), (0, k + 1))]
     with pytest.raises(OverflowError):
-        buchberger_engine(gens, MonomialOrder.degrevlex(2))
+        buchberger_engine(gens, 1, UNLIMITED.start())
 
 
 def test_budget_degree_cap():
     with pytest.raises(BudgetExhausted):
-        toric_ideal_from_matrix(TWISTED_CUBIC, ABCD, Budget(max_degree=1))
+        toric_ideal(TWISTED_CUBIC, Budget(max_degree=1))
+
+
+def test_toric_ideal_budget_caps_all_saturations(frame3):
+    # ker of frame3's unmarked map takes 3,337 S-pairs over 17 runs, at most
+    # 471 in any one run, so only one clock over all of them stops this cap.
+    matrix = exponent_matrix(toric_map_marked(frame3, ())).entries
+    with pytest.raises(BudgetExhausted) as err:
+        toric_ideal(matrix, Budget(max_pairs=471))
+    assert err.value.pairs == 472
+    assert len(toric_ideal(matrix, Budget(max_pairs=3337))) == 36
+    with pytest.raises(BudgetExhausted):
+        toric_ideal(matrix, Budget(max_pairs=3336))
 
 
 # --- saturation -------------------------------------------------------------
 
 def test_saturate_common_factor():
-    ring = (("x",), ("y",), ("z",))
-    f = binom({"x": 1, "z": 1}, {"x": 1, "y": 1})
-    result = saturate([f], ("x",), ring)
+    result = saturate_reduced([XZ_MINUS_XY], 0)
     # One generator, the common x stripped; sign fixed by the working order.
-    assert result == [binom({"y": 1}, {"z": 1})]
+    assert result == [((0, 1, 0), (0, 0, 1))]  # y - z
 
 
 def test_saturate_twisted_cubic_basis_to_full_ideal():
-    basis = integer_kernel(TWISTED_CUBIC)
-    gens = [
-        Binomial(
-            Monomial.from_dict({ABCD[i]: v for i, v in enumerate(vec) if v > 0}),
-            Monomial.from_dict({ABCD[i]: -v for i, v in enumerate(vec) if v < 0}),
-        )
-        for vec in basis
-    ]
-    current = gens
-    for var in ABCD:
-        current = saturate(current, var, ABCD)
-    full = toric_ideal_from_matrix(TWISTED_CUBIC, ABCD)
-    assert ideal_equal(current, list(full.generators), ABCD)
+    current = lattice_ideal_engine(integer_kernel(TWISTED_CUBIC))
+    for var_index in range(4):
+        current = saturate_reduced(current, var_index)
+    full = toric_ideal(TWISTED_CUBIC)
+    assert buchberger(current) == buchberger(full)
 
 
 def test_saturate_idempotent():
-    ring = (("x",), ("y",), ("z",))
-    f = binom({"x": 1, "z": 1}, {"x": 1, "y": 1})
-    once = saturate([f], ("x",), ring)
-    assert saturate(once, ("x",), ring) == once
-    full = toric_ideal_from_matrix(TWISTED_CUBIC, ABCD)
-    for var in ABCD:
-        once = saturate(list(full.generators), var, ABCD)
-        assert saturate(once, var, ABCD) == once
+    once = saturate_reduced([XZ_MINUS_XY], 0)
+    assert saturate_reduced(once, 0) == once
+    full = toric_ideal(TWISTED_CUBIC)
+    for var_index in range(4):
+        once = saturate_reduced(full, var_index)
+        assert saturate_reduced(once, var_index) == once
 
 
 def test_saturation_check_rejects_common_factor():
@@ -272,17 +253,15 @@ def test_saturation_check_rejects_common_factor():
 
 
 def test_saturate_rejects_inhomogeneous():
-    ring = (("x",), ("y",))
-    f = binom({"x": 2}, {"y": 1})
+    x2_minus_y = ((2, 0), (0, 1))
     with pytest.raises(ValueError):
-        saturate([f], ("x",), ring)
+        saturate_engine([x2_minus_y], 0, UNLIMITED.start())
 
 
 def test_final_bases_have_coprime_halves(frame3):
     phi = toric_map_lconfig(frame3, find_l_configurations(frame3)[0])
-    gb = toric_ideal(phi)
-    for g in gb.generators:
-        assert not (set(g.plus.variables()) & set(g.minus.variables()))
+    for lead, tail in toric_ideal(exponent_matrix(phi).entries):
+        assert not any(l and t for l, t in zip(lead, tail))
 
 
 # --- toric ideals of maps ---------------------------------------------------
@@ -307,15 +286,14 @@ def _assert_kernel_route_agrees(shape, phi):
     minors, matrix = minor_exponents(shape), exponent_matrix(phi)
     assert check_containment(minors, matrix)
     assert attempt_equality(minors, matrix, Budget()) == ("full", ())
-    gb_minors = buchberger(inner_minors(shape), vertex_ring(shape))
-    assert gb_minors.generators == toric_ideal(phi).generators
+    assert buchberger(minors) == toric_ideal(matrix.entries)
 
 
 def test_toric_ideal_single_cell():
     single = Polyomino.from_cells([(0, 0)])
-    gb = toric_ideal(toric_map_marked(single, ()))
+    gb = toric_ideal(exponent_matrix(toric_map_marked(single, ())).entries)
     assert len(gb) == 1
-    assert set(gb.generators) == set(buchberger(inner_minors(single), vertex_ring(single)).generators)
+    assert set(gb) == set(buchberger(minor_exponents(single)))
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3), (1, 3)])
@@ -329,25 +307,20 @@ def test_frame3_equality(frame3):
 
 
 def test_kernel_completeness_oracle_suite(frame3):
-    cubic = toric_ideal_from_matrix(TWISTED_CUBIC, ABCD)
+    cubic = toric_ideal(TWISTED_CUBIC)
     assert kernel_complete_up_to_degree(TWISTED_CUBIC, cubic, 4)
     for w, h in [(2, 2), (3, 2)]:
         shape = rectangle(w, h)
-        mat = exponent_matrix(toric_map_marked(shape, ()))
-        gb = toric_ideal_from_matrix(mat.entries, mat.column_variables)
-        assert kernel_complete_up_to_degree(mat.entries, gb, 4)
-    mat3 = exponent_matrix(toric_map_lconfig(frame3, find_l_configurations(frame3)[0]))
-    gb3 = toric_ideal_from_matrix(mat3.entries, mat3.column_variables)
-    assert kernel_complete_up_to_degree(mat3.entries, gb3, 3)
+        mat = exponent_matrix(toric_map_marked(shape, ())).entries
+        assert kernel_complete_up_to_degree(mat, toric_ideal(mat), 4)
+    mat3 = exponent_matrix(toric_map_lconfig(frame3, find_l_configurations(frame3)[0])).entries
+    assert kernel_complete_up_to_degree(mat3, toric_ideal(mat3), 3)
 
 
 def test_kernel_completeness_oracle_detects_gaps():
     # Dropping a basis element must be caught by the oracle.
-    gb = toric_ideal_from_matrix(TWISTED_CUBIC, ABCD)
-    from polyprime.toric import GroebnerBasis
-
-    crippled = GroebnerBasis(gb.ring, gb.generators[:1])
-    assert not kernel_complete_up_to_degree(TWISTED_CUBIC, crippled, 4)
+    gb = toric_ideal(TWISTED_CUBIC)
+    assert not kernel_complete_up_to_degree(TWISTED_CUBIC, gb[:1], 4)
 
 
 def test_kernel_route_oracle_rank12_prime_shapes():
@@ -388,15 +361,13 @@ def test_budget_caps_the_whole_saturation_check(frame3):
     assert verdict.notes[0].startswith("budget exhausted: pair cap (saturation check, x_")
 
 
-# --- ideal equality ---------------------------------------------------------
+# --- reduced bases compare ideals -------------------------------------------
 
-def test_ideal_equal_reflexive_and_sign_normalized():
-    ring = (("x",), ("y",))
-    f = binom({"x": 1}, {"y": 1})
-    g = binom({"y": 1}, {"x": 1})
-    assert ideal_equal([f], [f], ring)
-    assert ideal_equal([f], [g], ring)
-    assert not ideal_equal([f], [], ring)
+def test_reduced_basis_sign_normalized():
+    x_minus_y, y_minus_x = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    assert buchberger([x_minus_y]) == buchberger([x_minus_y])
+    assert buchberger([x_minus_y]) == buchberger([y_minus_x])
+    assert buchberger([x_minus_y]) != buchberger([])
 
 
 # --- monomial orders --------------------------------------------------------
@@ -410,26 +381,26 @@ def textbook_degrevlex_greater(a, b) -> bool:
     return bool(diff) and diff[-1] < 0
 
 
-def engine_greater(order, a, b) -> bool:
+def engine_greater(cheapest, a, b) -> bool:
     """The comparison the Groebner engine makes, on packed monomials."""
     from polyprime.toric import _PackedRing
 
-    ring = _PackedRing(order, len(a))
+    ring = _PackedRing(len(a), cheapest)
     return ring.greater(sum(a), ring.pack(a), sum(b), ring.pack(b))
 
 
 def test_degrevlex_key_basics():
     from itertools import product
 
-    order = MonomialOrder.degrevlex(3)
-    assert engine_greater(order, (1, 0, 0), (0, 0, 0))
+    plain = 2  # the last variable cheapest: plain degrevlex
+    assert engine_greater(plain, (1, 0, 0), (0, 0, 0))
     # degrevlex: a*c < b^2 for variables ordered a > b > c
-    assert engine_greater(order, (0, 2, 0), (1, 0, 1))
-    assert not engine_greater(order, (1, 0, 1), (0, 2, 0))
+    assert engine_greater(plain, (0, 2, 0), (1, 0, 1))
+    assert not engine_greater(plain, (1, 0, 1), (0, 2, 0))
     monos = list(product(range(3), repeat=3))
     for a in monos:
         for b in monos:
-            assert engine_greater(order, a, b) == textbook_degrevlex_greater(a, b)
+            assert engine_greater(plain, a, b) == textbook_degrevlex_greater(a, b)
 
 
 @given(
@@ -438,13 +409,13 @@ def test_degrevlex_key_basics():
 )
 def test_degrevlex_multiplicative(monos, cheapest):
     a, b, c = monos
-    order = MonomialOrder.degrevlex_cheapest(3, cheapest)
-    posed = lambda m: tuple(m[i] for i in order.significance)
-    assert engine_greater(order, a, b) == textbook_degrevlex_greater(posed(a), posed(b))
-    if engine_greater(order, a, b):
+    significance = [i for i in range(3) if i != cheapest] + [cheapest]
+    posed = lambda m: tuple(m[i] for i in significance)
+    assert engine_greater(cheapest, a, b) == textbook_degrevlex_greater(posed(a), posed(b))
+    if engine_greater(cheapest, a, b):
         ac = tuple(x + y for x, y in zip(a, c))
         bc = tuple(x + y for x, y in zip(b, c))
-        assert engine_greater(order, ac, bc)
+        assert engine_greater(cheapest, ac, bc)
 
 
 # --- certification pipeline -------------------------------------------------
@@ -527,11 +498,10 @@ def test_certify_rank20_ladder_shapes(cells):
 
 def test_certify_verdict_invariant_across_lconfig_choice(frame3):
     # The pipeline picks the first L-configuration; any choice must certify.
-    ring = vertex_ring(frame3)
-    minors = inner_minors(frame3)
+    minors = minor_exponents(frame3)
     for lconf in find_l_configurations(frame3):
-        gb = toric_ideal(toric_map_lconfig(frame3, lconf))
-        assert ideal_equal(list(gb.generators), minors, ring)
+        gb = toric_ideal(exponent_matrix(toric_map_lconfig(frame3, lconf)).entries)
+        assert buchberger(gb) == buchberger(minors)
 
 
 def test_containment_for_every_feature_choice_rank14():
@@ -574,20 +544,13 @@ def test_rank14_sweep_full_equality():
 def test_buchberger_output_is_a_groebner_basis(raw):
     # Definitional oracle: every S-binomial of the output reduces to zero,
     # and every input generator rewrites to zero.
-    from polyprime.toric import (
-        MonomialOrder,
-        _PackedRing,
-        _pk_full_reduce,
-        _pk_normalize,
-        buchberger_engine,
-    )
+    from polyprime.toric import _PackedRing, _pk_full_reduce, _pk_normalize
 
     gens = [(tuple(a), tuple(b)) for a, b in raw if tuple(a) != tuple(b)]
     if not gens:
         return
-    order = MonomialOrder.degrevlex(4)
-    basis = buchberger_engine(gens, order)
-    ring = _PackedRing(order, 4)
+    basis = buchberger_engine(gens, 3, UNLIMITED.start())
+    ring = _PackedRing(4, 3)
     packed = [
         (sum(lead), ring.pack(lead), sum(tail), ring.pack(tail)) for lead, tail in basis
     ]
