@@ -168,9 +168,10 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             phi = toric_map_marked(shape, ())
         budget = _budget_from_args(args)
         try:
-            basis = toric_ideal(exponent_matrix(phi).entries, budget)
+            basis = toric_ideal(exponent_matrix(phi).entries, budget, ring)
         except BudgetExhausted as exc:
-            print(f"budget exhausted: {exc}", file=sys.stderr)
+            print(f"budget exhausted: {exc.reason} ({exc.phase}; pairs={exc.pairs}, "
+                  f"max degree seen={exc.max_degree_seen})", file=sys.stderr)
             return EXIT_BUDGET
         out += "\n" + export_generators(ring, named_binomials(ring, basis))
     sys.stdout.write(out)

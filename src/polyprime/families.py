@@ -601,7 +601,7 @@ def _cache_dir(explicit: str | None) -> Path | None:
 
 # Bump whenever a stored record could differ from what the current code
 # computes: a new record field, or a change to how verdicts are proved.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def _cache_key(budget: Budget, certify: bool) -> dict:

@@ -25,6 +25,7 @@ from .grid import (
     HORIZONTAL,
     Point,
     Polyomino,
+    TRANSFORM_NAMES,
     VERTICAL,
     cell_vertices,
     inner_intervals,
@@ -113,6 +114,29 @@ class Binomial:
 def vertex_ring(p: Polyomino) -> tuple[Var, ...]:
     """The vertex variables in sorted vertex order: the ring of I_P."""
     return tuple(vertex_var(v) for v in sorted(vertices(p)))
+
+
+def vertex_symmetries(p: Polyomino) -> tuple[tuple[int, ...], ...]:
+    """Column permutations of :func:`vertex_ring` induced by the shape's symmetries.
+
+    One permutation per dihedral map of the lattice that sends the cell
+    set onto itself after a translation, the identity first.  Entry i is
+    the column of the image of vertex i.
+    """
+    order = sorted(vertices(p))
+    column = {v: i for i, v in enumerate(order)}
+    (x0, y0), _ = p.bounding_box()
+    perms = []
+    for name in TRANSFORM_NAMES:
+        image = transform_cells(name, p.cells)
+        dx = x0 - min(x for x, _ in image)
+        dy = y0 - min(y for _, y in image)
+        if {(x + dx, y + dy) for x, y in image} != p.cells:
+            continue
+        perms.append(tuple(
+            column[(x + dx, y + dy)] for x, y in (transform_point(name, v) for v in order)
+        ))
+    return tuple(perms)
 
 
 def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
@@ -248,9 +272,7 @@ def ladder_marked_set(ladder: Ladder, shape_cells: frozenset[tuple[int, int]]) -
     """
     if ladder.steps < 3:
         raise ValueError("ladder map needs at least three steps")
-    for name in (
-        "id", "rot90", "rot180", "rot270", "flipx", "flipy", "transpose", "antitranspose",
-    ):
+    for name in TRANSFORM_NAMES:
         if transform_orientation(name, ladder.orientation) != HORIZONTAL:
             continue
         posed_shape = transform_cells(name, shape_cells)

@@ -13,7 +13,10 @@ A Prime verdict proves I_P = ker(phi) from the inner minors alone.  Given
 containment, the minors' exponent lattice must equal the integer kernel of
 the map (same rank, index 1 in its saturation), and I_P must be saturated
 with respect to every vertex variable (one reduced Groebner basis per
-variable, in degrevlex with that variable cheapest).  The kernel basis
+variable, in degrevlex with that variable cheapest).  A symmetry of the
+shape that fixes the set of minors carries each saturation to another, so
+one run per orbit of the vertex variables under those symmetries suffices
+(:func:`check_saturated`).  The kernel basis
 itself (lattice-basis ideal -> saturation by every variable -> reduced
 basis, ``toric_ideal``) is computed only for output and as a test oracle.
 """
@@ -48,6 +51,7 @@ from .ideals import (
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_symmetries,
 )
 from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag
 
@@ -260,42 +264,39 @@ def _pk_interreduce(ring: _PackedRing, basis: list[_Packed]) -> list[_Packed]:
     return result
 
 
-def _gm_update(ring: _PackedRing, basis: list[_Packed], pairs: list[tuple[int, int, int]],
+def _gm_update(ring: _PackedRing, basis: list[_Packed], pairs: list[tuple[int, int, int, int]],
                cancelled: set[tuple[int, int]], k: int) -> None:
-    """Gebauer-Moeller pair update for the new basis element at index k."""
+    """Gebauer-Moeller pair update for the new basis element at index k.
+
+    Queued pairs are (lcm degree, i, j, lcm) with i < j; the lcm is kept so
+    that neither criterion B nor the S-pair step computes it again.
+    """
     lm_k = basis[k][1]
-    lcms = []
-    for i in range(k):
-        lcm_ik = ring.lcm(basis[i][1], lm_k)
-        lcms.append((ring.degree(lcm_ik), lcm_ik, i))
+    lcm_with_k = [ring.lcm(basis[i][1], lm_k) for i in range(k)]
+    lcms = sorted((ring.degree(lcm_ik), lcm_ik, i) for i, lcm_ik in enumerate(lcm_with_k))
     # Criterion M: drop candidates whose lcm is properly divisible by another
     # candidate's lcm; criterion F: keep one candidate per lcm value;
     # coprime criterion: drop a whole lcm class containing a coprime pair.
-    lcms.sort()
-    kept: list[tuple[int, int, int]] = []
-    by_value: dict[int, list[int]] = {}
+    by_value: dict[int, tuple[int, list[int]]] = {}
     for deg, value, i in lcms:
         if any(v != value and ring.divides(v, value) for v in by_value):
             continue
-        by_value.setdefault(value, []).append(i)
-    for value, members in sorted(by_value.items()):
+        by_value.setdefault(value, (deg, []))[1].append(i)
+    for value, (deg, members) in sorted(by_value.items()):
         if any(ring.coprime(basis[i][1], lm_k) for i in members):
             continue
-        i = min(members)
-        heappush(pairs, (ring.degree(ring.lcm(basis[i][1], lm_k)), i, k))
+        heappush(pairs, (deg, members[0], k, value))
     # Criterion B: cancel old pairs strictly refined by the new lead.
-    for deg, i, j in pairs:
+    for _, i, j, lcm_ij in pairs:
         if j == k or (i, j) in cancelled:
             continue
-        lcm_ij = ring.lcm(basis[i][1], basis[j][1])
-        if ring.divides(lm_k, lcm_ij):
-            if ring.lcm(basis[i][1], lm_k) != lcm_ij and ring.lcm(basis[j][1], lm_k) != lcm_ij:
-                cancelled.add((i, j))
+        if ring.divides(lm_k, lcm_ij) and lcm_with_k[i] != lcm_ij and lcm_with_k[j] != lcm_ij:
+            cancelled.add((i, j))
 
 
 def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) -> list[_Packed]:
     basis: list[_Packed] = []
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int, int, int]] = []
     cancelled: set[tuple[int, int]] = set()
     for g in gens:
         h = _pk_head_reduce(ring, g, basis)
@@ -305,7 +306,7 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
         _gm_update(ring, basis, pairs, cancelled, len(basis) - 1)
     try:
         while pairs:
-            degree, i, j = heappop(pairs)
+            degree, i, j, lcm = heappop(pairs)
             if (i, j) in cancelled:
                 continue
             if degree >= _FIELD_MAX:
@@ -314,7 +315,6 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
                 raise OverflowError("S-pair degree too large for the packed field")
             clock.tick_pair(degree)
             gi, gj = basis[i], basis[j]
-            lcm = ring.lcm(gi[1], gj[1])
             s_plus = lcm - gi[1] + gi[3]
             s_minus = lcm - gj[1] + gj[3]
             d_plus = degree - gi[0] + gi[2]
@@ -506,14 +506,16 @@ def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[Exponen
     return gens
 
 
-def toric_ideal(matrix: Sequence[Sequence[int]],
-                budget: Budget = UNLIMITED) -> list[ExponentBinomial]:
+def toric_ideal(matrix: Sequence[Sequence[int]], budget: Budget = UNLIMITED,
+                variables: Sequence[Var] = ()) -> list[ExponentBinomial]:
     """Reduced degrevlex basis of the kernel ideal of the monomial map ``matrix``.
 
     Exponent tuples over the matrix columns.  The lattice-basis ideal of
     ``integer_kernel(matrix)`` is saturated by each variable in turn, then
     reduced.  One clock from ``budget`` caps the n saturations and the
-    final run together.  Post-checks: a reduced basis of a saturated ideal
+    final run together; on exhaustion the exception's ``phase`` names the
+    saturation variable (by ``variables``, the column names, when given)
+    or the final run.  Post-checks: a reduced basis of a saturated ideal
     has coprime halves, and every element lies in the kernel of the map.
     """
     kernel = integer_kernel(matrix)
@@ -523,8 +525,17 @@ def toric_ideal(matrix: Sequence[Sequence[int]],
     clock = budget.start()
     gens = lattice_ideal_engine(kernel)
     for var_index in range(n):
-        gens = saturate_engine(gens, var_index, clock)
-    reduced = buchberger_engine(gens, n - 1, clock)
+        try:
+            gens = saturate_engine(gens, var_index, clock)
+        except BudgetExhausted as exc:
+            name = format_var(variables[var_index]) if variables else f"column {var_index}"
+            exc.phase = f"saturation, {name}"
+            raise
+    try:
+        reduced = buchberger_engine(gens, n - 1, clock)
+    except BudgetExhausted as exc:
+        exc.phase = "final run"
+        raise
     for lead, tail in reduced:
         if any(l and t for l, t in zip(lead, tail)):
             raise CounterexampleFound("saturation left a common monomial factor")
@@ -611,21 +622,34 @@ class PrimalityVerdict:
 
 
 def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
-                    budget: Budget = UNLIMITED) -> None:
+                    budget: Budget = UNLIMITED,
+                    symmetries: Sequence[Sequence[int]] = ()) -> None:
     """Raise unless the homogeneous binomial ideal is saturated in every variable.
 
     For each x_i, the reduced basis in degrevlex with x_i cheapest must
     have no leading monomial divisible by x_i; a basis element with such a
     lead is x_i times an element outside the ideal, so the test is exact.
-    The run for the last variable uses plain degrevlex.  The budget caps
-    the n runs together: they share one clock.  On budget exhaustion the
-    exception's ``phase`` names the variable.
+    The run for the last variable uses plain degrevlex.
+
+    ``symmetries`` are candidate column permutations (entry i is the image
+    of variable i), such as :func:`polyprime.ideals.vertex_symmetries`.
+    One is kept only if it maps the set of generators onto itself, each
+    generator compared as an unordered {plus, minus} pair.  A kept
+    permutation is then a ring automorphism sigma with sigma(I) = I, so
+    sigma(I : x_i^infinity) = I : x_sigma(i)^infinity, and I is saturated
+    in x_i exactly when it is saturated in x_sigma(i).  One run per orbit
+    of the variables under the kept permutations therefore suffices; it
+    is made on the orbit's least index, orbits in index order.  A wrong
+    candidate is discarded, so it can cost time but never weaken the check.
+
+    The budget caps the runs together: they share one clock.  On budget
+    exhaustion the exception's ``phase`` names the variable.
     """
     for lead, tail in gens:
         if sum(lead) != sum(tail):
             raise ValueError("the saturation check requires standard-graded binomials")
     clock = budget.start()
-    for i in range(len(ring)):
+    for i in _orbit_representatives(gens, len(ring), symmetries):
         try:
             basis = buchberger_engine(gens, i, clock)
         except BudgetExhausted as exc:
@@ -635,8 +659,41 @@ def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
             raise CounterexampleFound(f"generator ideal is not saturated in {format_var(ring[i])}")
 
 
+def _orbit_representatives(gens: Sequence[ExponentBinomial], n: int,
+                           symmetries: Sequence[Sequence[int]]) -> list[int]:
+    """Least index of each orbit of the n variables under the permutations
+    that fix the generator set, in increasing order."""
+
+    def permuted(mono: Mono, perm: Sequence[int]) -> Mono:
+        image = [0] * n
+        for i, e in enumerate(mono):
+            image[perm[i]] = e
+        return tuple(image)
+
+    generator_set = {frozenset(g) for g in gens}
+    kept = [
+        perm for perm in symmetries
+        if {frozenset((permuted(a, perm), permuted(b, perm))) for a, b in gens} == generator_set
+    ]
+    representatives: list[int] = []
+    seen: set[int] = set()
+    for i in range(n):
+        if i in seen:
+            continue
+        representatives.append(i)
+        seen.add(i)
+        orbit = [i]
+        for j in orbit:
+            for perm in kept:
+                if perm[j] not in seen:
+                    seen.add(perm[j])
+                    orbit.append(perm[j])
+    return representatives
+
+
 def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
-                     budget: Budget) -> tuple[str, tuple[str, ...]]:
+                     budget: Budget,
+                     symmetries: Sequence[Sequence[int]] = ()) -> tuple[str, tuple[str, ...]]:
     """Prove I_P = ker(phi) from the inner minors, given containment.
 
     ``minors`` are the exponent tuples of :func:`minor_exponents` and
@@ -647,7 +704,9 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
     (a) Lattice check: L has the rank of ker_Z(A) and index 1 in its
         saturation, so L = ker_Z(A).
     (b) Saturation check (:func:`check_saturated`): I_P : x_i^infinity
-        = I_P for every vertex variable x_i.
+        = I_P for every vertex variable x_i, with one Groebner run per
+        orbit of the variables under those of ``symmetries`` (column
+        permutations) that fix the set of minors.
 
     Together, I_P = I_P : (prod x)^infinity = I_L = ker(phi), because
     saturating the ideal of any generating set of a lattice gives its
@@ -668,7 +727,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
     if index != 1:
         raise CounterexampleFound(f"minor lattice has index {index} in its saturation")
     try:
-        check_saturated(minors, matrix.column_variables, budget)
+        check_saturated(minors, matrix.column_variables, budget, symmetries)
     except BudgetExhausted as exc:
         return EQUALITY_CONTAINMENT, (f"budget exhausted: {exc.reason} ({exc.phase})",)
     return EQUALITY_FULL, ()
@@ -677,14 +736,15 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
 def prove_prime(p: Polyomino, phi: ToricMap, proof: str, budget: Budget) -> PrimalityVerdict:
     """Prime verdict from a map whose kernel should be I_P.
 
-    Builds the minors' exponent tuples and phi's exponent matrix once;
-    :func:`check_containment` and then :func:`attempt_equality` read them.
+    Builds the minors' exponent tuples, phi's exponent matrix and the
+    shape's vertex permutations once; :func:`check_containment` and then
+    :func:`attempt_equality` read them.
     """
     minors = minor_exponents(p)
     matrix = exponent_matrix(phi)
     if not check_containment(minors, matrix):
         raise CounterexampleFound(f"{proof} map fails to kill an inner minor")
-    equality, notes = attempt_equality(minors, matrix, budget)
+    equality, notes = attempt_equality(minors, matrix, budget, vertex_symmetries(p))
     return PrimalityVerdict("prime", proof, equality, notes=notes)
 
 

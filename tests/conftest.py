@@ -74,6 +74,19 @@ def saturate_reduced(gens, var_index: int):
     return buchberger_engine(saturate_engine(gens, var_index, clock), var_index, clock)
 
 
+def unsaturated_variables(gens) -> list[int]:
+    """Oracle for ``check_saturated``: every variable in turn, no symmetry used.
+
+    The indices i for which the reduced basis, in degrevlex with x_i
+    cheapest, has a lead divisible by x_i.
+    """
+    clock = UNLIMITED.start()
+    return [
+        i for i in range(len(gens[0][0]))
+        if any(lead[i] for lead, _ in buchberger_engine(gens, i, clock))
+    ]
+
+
 def psc_parts():
     """A small valid instance: simple domino core, 9-cell path with an
     L-configuration, two corner triminoes closing the loop."""

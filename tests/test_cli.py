@@ -119,7 +119,7 @@ def test_ideal_toric_budget_caps_the_whole_kernel_computation(capsys):
     assert main(["ideal", str(SHAPES / "frame3.grid"), "--toric", "--budget-pairs", "471"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("budget exhausted: pair cap")
+    assert captured.err.startswith("budget exhausted: pair cap (saturation, x_0_1; pairs=472")
 
 
 def test_ideal_lconfig_marking_needs_an_lconfiguration(ring22_json, capsys):

@@ -14,6 +14,7 @@ from polyprime.ideals import (
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_symmetries,
     vertex_var,
 )
 
@@ -36,6 +37,39 @@ def test_monomial_drops_zero_exponents():
 
 
 # --- inner minors -----------------------------------------------------------
+
+# A rank-14 closed path that no dihedral map sends onto itself.
+ASYMMETRIC14_CELLS = (
+    (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 4),
+    (2, 0), (2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (3, 4),
+)
+
+
+def _unordered_minors(shape, perm=None):
+    def image(mono):
+        if perm is None:
+            return mono
+        out = [0] * len(mono)
+        for i, e in enumerate(mono):
+            out[perm[i]] = e
+        return tuple(out)
+
+    return {frozenset((image(a), image(b))) for a, b in minor_exponents(shape)}
+
+
+def test_vertex_symmetries_of_frame3_fix_its_minors(frame3):
+    perms = vertex_symmetries(frame3)
+    n = len(vertices(frame3))
+    assert len(perms) == 8 and len(set(perms)) == 8
+    assert perms[0] == tuple(range(n))
+    for perm in perms:
+        assert sorted(perm) == list(range(n))
+        assert _unordered_minors(frame3, perm) == _unordered_minors(frame3)
+
+
+def test_vertex_symmetries_of_an_asymmetric_closed_path_is_the_identity():
+    shape = Polyomino.from_cells(ASYMMETRIC14_CELLS)
+    assert vertex_symmetries(shape) == (tuple(range(len(vertices(shape)))),)
 
 def test_inner_minors_counts(frame3):
     assert len(inner_minors(Polyomino.from_cells([(0, 0), (1, 0)]))) == 3

@@ -14,6 +14,7 @@ from polyprime.ideals import (
     toric_map_lconfig,
     toric_map_marked,
     vertex_ring,
+    vertex_symmetries,
 )
 from polyprime.toric import (
     Budget,
@@ -34,7 +35,13 @@ from polyprime.toric import (
     toric_ideal,
 )
 
-from conftest import TWISTED_CUBIC, kills_minors, rectangle, saturate_reduced
+from conftest import (
+    TWISTED_CUBIC,
+    kills_minors,
+    rectangle,
+    saturate_reduced,
+    unsaturated_variables,
+)
 
 # Exponent tuples over (a, b, c, d) and over (x, y, z).
 AD_MINUS_BC = ((1, 0, 0, 1), (0, 1, 1, 0))
@@ -214,9 +221,11 @@ def test_toric_ideal_budget_caps_all_saturations(frame3):
     with pytest.raises(BudgetExhausted) as err:
         toric_ideal(matrix, Budget(max_pairs=471))
     assert err.value.pairs == 472
+    assert err.value.phase == "saturation, column 1"
     assert len(toric_ideal(matrix, Budget(max_pairs=3337))) == 36
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as err:
         toric_ideal(matrix, Budget(max_pairs=3336))
+    assert err.value.phase == "final run"
 
 
 # --- saturation -------------------------------------------------------------
@@ -250,6 +259,54 @@ def test_saturation_check_rejects_common_factor():
     with pytest.raises(CounterexampleFound, match="not saturated in x"):
         check_saturated(xy_minus_xz, ring)
     check_saturated([((0, 1, 0), (0, 0, 1))], ring)
+
+
+def test_saturation_check_discards_a_forged_symmetry():
+    # Swapping x and y sends x*y - x*z to x*y - y*z, so the swap does not
+    # fix the generator set and must not merge the orbits of x and y.
+    swap_xy = (1, 0, 2)
+    ring = (("x",), ("y",), ("z",))
+    with pytest.raises(CounterexampleFound, match="not saturated in x"):
+        check_saturated([((1, 1, 0), (1, 0, 1))], ring, symmetries=[swap_xy])
+    # With y first, merging would leave y to stand for x, and y is saturated.
+    ring = (("y",), ("x",), ("z",))
+    y_x_minus_x_z = [((1, 1, 0), (0, 1, 1))]
+    assert unsaturated_variables(y_x_minus_x_z) == [1]
+    with pytest.raises(CounterexampleFound, match="not saturated in x"):
+        check_saturated(y_x_minus_x_z, ring, symmetries=[swap_xy])
+
+
+def _assert_orbit_check_agrees(shape):
+    minors = minor_exponents(shape)
+    ring = vertex_ring(shape)
+    unsaturated = unsaturated_variables(minors)
+    if not unsaturated:
+        check_saturated(minors, ring, symmetries=vertex_symmetries(shape))
+        return
+    with pytest.raises(CounterexampleFound) as err:
+        check_saturated(minors, ring, symmetries=vertex_symmetries(shape))
+    assert str(err.value).endswith(f"not saturated in {format_var(ring[unsaturated[0]])}")
+
+
+def test_orbit_saturation_check_agrees_with_every_variable_oracle(good_l_instance):
+    from polyprime.families import verify_main_theorem
+
+    primes = [rec for rec in verify_main_theorem(14).records if rec.verdict["kind"] == "prime"]
+    assert len(primes) == 11
+    for rec in primes:
+        _assert_orbit_check_agrees(Polyomino.from_cells(rec.cells))
+    _assert_orbit_check_agrees(good_l_instance[0])
+
+
+def test_orbit_saturation_check_agrees_on_an_unsaturated_shape(diamond16):
+    # diamond16 has a zig-zag walk and its minor ideal is not saturated in
+    # 16 of its 32 variables; the orbit check must still find the first.
+    minors = minor_exponents(diamond16)
+    unsaturated = set(unsaturated_variables(minors))
+    assert len(unsaturated) == 16
+    for perm in vertex_symmetries(diamond16):
+        assert {perm[i] for i in unsaturated} == unsaturated
+    _assert_orbit_check_agrees(diamond16)
 
 
 def test_saturate_rejects_inhomogeneous():
@@ -353,9 +410,10 @@ def test_budget_stop_names_saturation_phase(frame3):
 
 
 def test_budget_caps_the_whole_saturation_check(frame3):
-    # frame3's 16 saturation-check runs handle 876 S-pairs together and at
-    # most 75 each, so only a cap on their sum can stop this budget.
-    verdict = certify_primality(frame3, Budget(max_pairs=875))
+    # frame3's 3 saturation-check runs (one per variable orbit) handle 171
+    # S-pairs together and at most 75 each, so only a cap on their sum can
+    # stop this budget.
+    verdict = certify_primality(frame3, Budget(max_pairs=170))
     assert verdict.equality == "containment-only"
     assert len(verdict.notes) == 1
     assert verdict.notes[0].startswith("budget exhausted: pair cap (saturation check, x_")

@@ -48,7 +48,7 @@ def test_a_tick_only_clock_gives_the_same_results(spans, frame3):
     assert callable(clock.tick_pair) and not hasattr(clock, "pairs")
 
     assert certify_primality(frame3, counting) == certify_primality(frame3, Budget())
-    assert counting.tally[0] == 876  # the 16 runs of the saturation check
+    assert counting.tally[0] == 171  # one saturation-check run per orbit, 3 of them
 
     # One clock takes every S-pair of the n saturations and the final run.
     for phi, spairs in ((toric_map_marked(frame3, ()), 3337),
