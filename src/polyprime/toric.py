@@ -6,7 +6,8 @@ return nothing else; variable names are attached at export
 (:func:`polyprime.ideals.named_binomials`) and in verdict notes.  Inside
 the Groebner core the tuples are packed into single big integers (one bit
 field per variable plus a guard bit) so that divisibility, multiplication,
-and order comparison are constant-count big-int operations.  The only
+order comparison and the total degree (one multiplication that adds every
+field into the top one) are constant-count big-int operations.  The only
 orders are degrevlex with one chosen variable cheapest.
 
 A Prime verdict proves I_P = ker(phi) from the inner minors alone.  Given
@@ -137,7 +138,7 @@ class _PackedRing:
     integer comparison *reversed* realizes degrevlex.
     """
 
-    __slots__ = ("n", "field_of", "var_of", "guards", "ones", "low")
+    __slots__ = ("n", "field_of", "var_of", "guards", "ones", "low", "top")
 
     def __init__(self, n: int, cheapest: int):
         self.n = n
@@ -149,6 +150,7 @@ class _PackedRing:
         self.guards = sum(1 << (k * _FIELD_BITS + _FIELD_BITS - 1) for k in range(n))
         self.ones = sum(1 << (k * _FIELD_BITS) for k in range(n))
         self.low = (1 << _FIELD_BITS) - 1
+        self.top = (n - 1) * _FIELD_BITS
 
     def pack(self, mono: Mono) -> int:
         packed = 0
@@ -177,18 +179,11 @@ class _PackedRing:
         smear = mask * self.low
         return b + (t & smear & ~self.guards)
 
-    def nonzero_mask(self, a: int) -> int:
-        return ((a | self.guards) - self.ones) & self.guards
-
-    def coprime(self, a: int, b: int) -> bool:
-        return self.nonzero_mask(a) & self.nonzero_mask(b) == 0
-
     def degree(self, packed: int) -> int:
-        total = 0
-        while packed:
-            total += packed & self.low
-            packed >>= _FIELD_BITS
-        return total
+        # Multiplying by ``ones`` adds every field into the top one.  No
+        # partial sum carries into the next field while the total degree
+        # stays below 2**_FIELD_BITS, which the engine's input guard ensures.
+        return ((packed * self.ones) >> self.top) & self.low
 
     def greater(self, deg_a: int, a: int, deg_b: int, b: int) -> bool:
         if deg_a != deg_b:
@@ -209,19 +204,46 @@ def _pk_normalize(ring: _PackedRing, da: int, a: int, db: int, b: int) -> _Packe
 
 
 def _pk_head_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Packed | None:
-    """Reduce until the lead is irreducible; None encodes zero."""
+    """Reduce until the lead is irreducible; None encodes zero.
+
+    Each step rewrites by the first basis element whose lead divides the
+    lead (the guard-bit test of :meth:`_PackedRing.divides`, inlined).
+    """
+    guards = ring.guards
     dl, lead, dt, tail = f
     changed = True
     while changed:
         changed = False
+        lead_g = lead | guards
         for g_dl, g_lead, g_dt, g_tail in basis:
-            if g_dl <= dl and ring.divides(g_lead, lead):
+            if g_dl <= dl and (lead_g - g_lead) & guards == guards:
                 lead = lead - g_lead + g_tail
                 dl = dl - g_dl + g_dt
                 if lead == tail:
                     return None
-                if ring.greater(dt, tail, dl, lead):
+                if dt > dl or (dt == dl and tail < lead):
                     dl, lead, dt, tail = dt, tail, dl, lead
+                changed = True
+                break
+    return (dl, lead, dt, tail)
+
+
+def _pk_tail_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Packed:
+    """Rewrite the tail of f until no basis lead divides it.
+
+    Every step makes the tail strictly smaller in a monomial order, so it
+    never reaches the lead: the result is never zero.
+    """
+    guards = ring.guards
+    dl, lead, dt, tail = f
+    changed = True
+    while changed:
+        changed = False
+        tail_g = tail | guards
+        for g_dl, g_lead, g_dt, g_tail in basis:
+            if g_dl <= dt and (tail_g - g_lead) & guards == guards:
+                tail = tail - g_lead + g_tail
+                dt = dt - g_dl + g_dt
                 changed = True
                 break
     return (dl, lead, dt, tail)
@@ -231,35 +253,29 @@ def _pk_full_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Pac
     reduced = _pk_head_reduce(ring, f, basis)
     if reduced is None:
         return None
-    dl, lead, dt, tail = reduced
-    changed = True
-    while changed:
-        changed = False
-        for g_dl, g_lead, g_dt, g_tail in basis:
-            if g_dl <= dt and ring.divides(g_lead, tail):
-                tail = tail - g_lead + g_tail
-                dt = dt - g_dl + g_dt
-                if lead == tail:
-                    return None
-                changed = True
-                break
-    return (dl, lead, dt, tail)
+    return _pk_tail_reduce(ring, reduced, basis)
 
 
 def _pk_interreduce(ring: _PackedRing, basis: list[_Packed]) -> list[_Packed]:
-    """Minimal generators with irreducible tails: the reduced basis."""
+    """Minimal generators with irreducible tails: the reduced basis.
+
+    The leads of a Buchberger basis are distinct, so no other minimal lead
+    divides a minimal element's lead.  Nor does its own lead divide its
+    tail, which is smaller in a degree-compatible order.  Reducing each
+    tail against all of ``minimal`` is therefore the same as fully reducing
+    the element against the others.
+    """
+    guards = ring.guards
     ordered = sorted(set(basis), key=lambda g: (g[0], -g[1]))
     minimal: list[_Packed] = []
     for g in ordered:
-        if any(h[0] <= g[0] and ring.divides(h[1], g[1]) for h in minimal):
-            continue
-        minimal.append(g)
-    result: list[_Packed] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced = _pk_full_reduce(ring, g, others)
-        if reduced is not None:
-            result.append(reduced)
+        dl, lead_g = g[0], g[1] | guards
+        for h_dl, h_lead, _, _ in minimal:
+            if h_dl <= dl and (lead_g - h_lead) & guards == guards:
+                break
+        else:
+            minimal.append(g)
+    result = [_pk_tail_reduce(ring, g, minimal) for g in minimal]
     result.sort(key=lambda g: (g[0], -g[1], g[2], -g[3]))
     return result
 
@@ -270,7 +286,14 @@ def _gm_update(ring: _PackedRing, basis: list[_Packed], pairs: list[tuple[int, i
 
     Queued pairs are (lcm degree, i, j, lcm) with i < j; the lcm is kept so
     that neither criterion B nor the S-pair step computes it again.
+
+    Candidates are scanned by ascending (degree, lcm), and criterion M
+    tests each new lcm value only against the values kept at a strictly
+    lower degree: a monomial divides another of the same total degree only
+    if the two are equal, and one of higher degree never.  A repeated
+    value shares the verdict of its first occurrence.
     """
+    guards = ring.guards
     lm_k = basis[k][1]
     lcm_with_k = [ring.lcm(basis[i][1], lm_k) for i in range(k)]
     lcms = sorted((ring.degree(lcm_ik), lcm_ik, i) for i, lcm_ik in enumerate(lcm_with_k))
@@ -278,19 +301,39 @@ def _gm_update(ring: _PackedRing, basis: list[_Packed], pairs: list[tuple[int, i
     # candidate's lcm; criterion F: keep one candidate per lcm value;
     # coprime criterion: drop a whole lcm class containing a coprime pair.
     by_value: dict[int, tuple[int, list[int]]] = {}
+    lower: list[int] = []  # kept values of degree below ``level_deg``
+    level: list[int] = []  # kept values of degree ``level_deg``
+    level_deg = -1
+    previous = -1
+    current: list[int] | None = None  # members of ``previous``, None if dropped
     for deg, value, i in lcms:
-        if any(v != value and ring.divides(v, value) for v in by_value):
-            continue
-        by_value.setdefault(value, (deg, []))[1].append(i)
+        if value != previous:
+            previous = value
+            if deg != level_deg:
+                lower += level
+                level = []
+                level_deg = deg
+            value_g = value | guards
+            for v in lower:
+                if (value_g - v) & guards == guards:
+                    current = None
+                    break
+            else:
+                current = []
+                by_value[value] = (deg, current)
+                level.append(value)
+        if current is not None:
+            current.append(i)
     for value, (deg, members) in sorted(by_value.items()):
-        if any(ring.coprime(basis[i][1], lm_k) for i in members):
+        # lcm(a, b) = a + b exactly when a and b are coprime.
+        if any(value == basis[i][1] + lm_k for i in members):
             continue
         heappush(pairs, (deg, members[0], k, value))
-    # Criterion B: cancel old pairs strictly refined by the new lead.
+    # Criterion B: cancel old pairs strictly refined by the new lead.  The
+    # divisibility test rejects almost every pair, so it comes first.
     for _, i, j, lcm_ij in pairs:
-        if j == k or (i, j) in cancelled:
-            continue
-        if ring.divides(lm_k, lcm_ij) and lcm_with_k[i] != lcm_ij and lcm_with_k[j] != lcm_ij:
+        if ((lcm_ij | guards) - lm_k) & guards == guards and j != k \
+                and lcm_with_k[i] != lcm_ij and lcm_with_k[j] != lcm_ij:
             cancelled.add((i, j))
 
 
@@ -349,8 +392,13 @@ def buchberger_engine(gens: Iterable[ExponentBinomial], cheapest: int,
     ring = _PackedRing(len(gens[0][0]), cheapest)
     packed = []
     for a, b in gens:
+        da, db = sum(a), sum(b)
+        if max(da, db) >= _FIELD_MAX:
+            # Leads below this degree keep every lcm degree below
+            # 2**_FIELD_BITS, where _PackedRing.degree is exact.
+            raise OverflowError("generator degree too large for the packed field")
         pa, pb = ring.pack(a), ring.pack(b)
-        norm = _pk_normalize(ring, sum(a), pa, sum(b), pb)
+        norm = _pk_normalize(ring, da, pa, db, pb)
         if norm is not None:
             packed.append(norm)
     reduced = _pk_buchberger(ring, packed, clock)

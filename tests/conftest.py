@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+from heapq import heappush
+
 import pytest
 
 from polyprime.classify import OpenPath, trimino_certificate
 from polyprime.families import build_psc, build_rectangle_linked
 from polyprime.grid import Polyomino
 from polyprime.ideals import check_containment, exponent_matrix, minor_exponents
-from polyprime.toric import UNLIMITED, buchberger_engine, saturate_engine
+from polyprime.toric import (
+    UNLIMITED,
+    _FIELD_BITS,
+    _pk_full_reduce,
+    buchberger_engine,
+    saturate_engine,
+)
 
 # Exponent matrix of t -> (s^3, s^2 t, s t^2, t^3): the twisted cubic.
 TWISTED_CUBIC = [[3, 2, 1, 0], [0, 1, 2, 3]]
@@ -85,6 +93,60 @@ def unsaturated_variables(gens) -> list[int]:
         i for i in range(len(gens[0][0]))
         if any(lead[i] for lead, _ in buchberger_engine(gens, i, clock))
     ]
+
+
+def _loop_degree(ring, packed: int) -> int:
+    """Total degree of a packed monomial, summed field by field."""
+    total = 0
+    while packed:
+        total += packed & ring.low
+        packed >>= _FIELD_BITS
+    return total
+
+
+def _support_mask(ring, a: int) -> int:
+    return ((a | ring.guards) - ring.ones) & ring.guards
+
+
+def reference_gm_update(ring, basis, pairs, cancelled, k: int) -> None:
+    """Oracle for ``toric._gm_update``: the Gebauer-Moeller update as first
+    written, with criterion M testing every kept lcm class and with degree
+    and coprimality computed field by field."""
+    lm_k = basis[k][1]
+    lcm_with_k = [ring.lcm(basis[i][1], lm_k) for i in range(k)]
+    lcms = sorted((_loop_degree(ring, lcm_ik), lcm_ik, i) for i, lcm_ik in enumerate(lcm_with_k))
+    by_value: dict[int, tuple[int, list[int]]] = {}
+    for deg, value, i in lcms:
+        if any(v != value and ring.divides(v, value) for v in by_value):
+            continue
+        by_value.setdefault(value, (deg, []))[1].append(i)
+    for value, (deg, members) in sorted(by_value.items()):
+        if any(_support_mask(ring, basis[i][1]) & _support_mask(ring, lm_k) == 0 for i in members):
+            continue
+        heappush(pairs, (deg, members[0], k, value))
+    for _, i, j, lcm_ij in pairs:
+        if j == k or (i, j) in cancelled:
+            continue
+        if ring.divides(lm_k, lcm_ij) and lcm_with_k[i] != lcm_ij and lcm_with_k[j] != lcm_ij:
+            cancelled.add((i, j))
+
+
+def reference_interreduce(ring, basis):
+    """Oracle for ``toric._pk_interreduce``: each minimal element fully
+    reduced against a copy of the others."""
+    ordered = sorted(set(basis), key=lambda g: (g[0], -g[1]))
+    minimal = []
+    for g in ordered:
+        if any(h[0] <= g[0] and ring.divides(h[1], g[1]) for h in minimal):
+            continue
+        minimal.append(g)
+    result = []
+    for i, g in enumerate(minimal):
+        reduced = _pk_full_reduce(ring, g, minimal[:i] + minimal[i + 1:])
+        if reduced is not None:
+            result.append(reduced)
+    result.sort(key=lambda g: (g[0], -g[1], g[2], -g[3]))
+    return result
 
 
 def psc_parts():

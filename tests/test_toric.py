@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.grid import Polyomino
@@ -39,6 +39,8 @@ from conftest import (
     TWISTED_CUBIC,
     kills_minors,
     rectangle,
+    reference_gm_update,
+    reference_interreduce,
     saturate_reduced,
     unsaturated_variables,
 )
@@ -207,6 +209,52 @@ def test_packed_field_overflow_raises():
     gens = [((k, 0), (0, k)), ((1, k), (0, k + 1))]
     with pytest.raises(OverflowError):
         buchberger_engine(gens, 1, UNLIMITED.start())
+
+
+def test_generator_degree_overflow_raises():
+    # Every exponent k fits a field, but the degree 2k = _FIELD_MAX would let
+    # an lcm degree reach 2**_FIELD_BITS, past what _PackedRing.degree sums.
+    from polyprime.toric import _FIELD_MAX
+
+    k = _FIELD_MAX // 2
+    with pytest.raises(OverflowError):
+        buchberger_engine([((k, k, 0), (0, k, k))], 2, UNLIMITED.start())
+    with pytest.raises(OverflowError):
+        buchberger_engine([((0, 1, 0), (1, 0, 0)), ((k, k, 0), (0, k, k))], 2, UNLIMITED.start())
+
+
+@st.composite
+def packed_below_degree_bound(draw):
+    """A packed monomial of total degree below 2**_FIELD_BITS, each exponent
+    below _FIELD_MAX, and its exponent tuple."""
+    from polyprime.toric import _FIELD_BITS, _FIELD_MAX, _PackedRing
+
+    n = draw(st.integers(1, 8))
+    room = (1 << _FIELD_BITS) - 1
+    mono = []
+    for _ in range(n):
+        e = min(draw(st.integers(0, _FIELD_MAX - 1)), room)
+        mono.append(e)
+        room -= e
+    ring = _PackedRing(n, draw(st.integers(0, n - 1)))
+    return ring, tuple(mono)
+
+
+@given(packed_below_degree_bound())
+def test_packed_degree_is_the_field_sum(case):
+    ring, mono = case
+    packed = ring.pack(mono)
+    assert ring.unpack(packed) == mono
+    assert ring.degree(packed) == sum(mono)
+
+
+def test_packed_degree_at_the_bound():
+    from polyprime.toric import _FIELD_BITS, _FIELD_MAX, _PackedRing
+
+    ring = _PackedRing(3, 1)
+    top = (_FIELD_MAX - 1, _FIELD_MAX - 1, 1)
+    assert sum(top) == (1 << _FIELD_BITS) - 1
+    assert ring.degree(ring.pack(top)) == sum(top)
 
 
 def test_budget_degree_cap():
@@ -647,3 +695,71 @@ def test_verdict_json_round_trip(frame3):
     verdict = certify_primality(frame3)
     payload = json.loads(json.dumps(verdict.to_json_dict()))
     assert payload["kind"] == "prime"
+
+
+@st.composite
+def homogeneous_binomial_sets(draw):
+    """Up to five homogeneous binomials of degree <= 4 in at most five
+    variables, with a cheapest variable for the order."""
+    n = draw(st.integers(2, 5))
+
+    def monomial(degree: int) -> tuple[int, ...]:
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+        return tuple(picks.count(v) for v in range(n))
+
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(1, 4))
+        gens.append((monomial(degree), monomial(degree)))
+    return n, draw(st.integers(0, n - 1)), gens
+
+
+@settings(deadline=None)
+@given(homogeneous_binomial_sets())
+def test_pair_update_matches_reference(case):
+    # Drive the engine's main loop by hand and run the first-written
+    # Gebauer-Moeller update beside toric._gm_update after every new basis
+    # element: both must queue and cancel exactly the same pairs.
+    from heapq import heappop
+
+    from polyprime.toric import (
+        _PackedRing,
+        _gm_update,
+        _pk_head_reduce,
+        _pk_interreduce,
+        _pk_normalize,
+    )
+
+    n, cheapest, gens = case
+    ring = _PackedRing(n, cheapest)
+    basis, pairs, cancelled = [], [], set()
+    ref_pairs, ref_cancelled = [], set()
+
+    def add(f):
+        h = _pk_head_reduce(ring, f, basis)
+        if h is None:
+            return
+        basis.append(h)
+        _gm_update(ring, basis, pairs, cancelled, len(basis) - 1)
+        reference_gm_update(ring, basis, ref_pairs, ref_cancelled, len(basis) - 1)
+        assert pairs == ref_pairs
+        assert cancelled == ref_cancelled
+
+    for a, b in gens:
+        f = _pk_normalize(ring, sum(a), ring.pack(a), sum(b), ring.pack(b))
+        if f is not None:
+            add(f)
+    while pairs:
+        degree, i, j, lcm = heappop(pairs)
+        heappop(ref_pairs)
+        if (i, j) in cancelled:
+            continue
+        gi, gj = basis[i], basis[j]
+        s = _pk_normalize(ring, degree - gi[0] + gi[2], lcm - gi[1] + gi[3],
+                          degree - gj[0] + gj[2], lcm - gj[1] + gj[3])
+        if s is not None:
+            add(s)
+    reduced = _pk_interreduce(ring, basis)
+    assert reduced == reference_interreduce(ring, basis)
+    unpacked = [(ring.unpack(lead), ring.unpack(tail)) for _, lead, _, tail in reduced]
+    assert unpacked == buchberger_engine(gens, cheapest, UNLIMITED.start())
