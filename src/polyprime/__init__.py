@@ -52,11 +52,9 @@ from .grid import (
 )
 from .ideals import (
     Binomial,
-    ExponentMatrix,
     Monomial,
     ToricMap,
     check_containment,
-    exponent_matrix,
     inner_minors,
     minor_exponents,
     named_binomials,

@@ -1,7 +1,7 @@
 """Batch command-line surface.
 
 Exit codes: 0 success, 2 counterexample found, 3 budget exhausted,
-4 input error.
+4 input error (a usage error included).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .grid import (
     parse_shape_json,
 )
 from .ideals import (
-    exponent_matrix,
     export_generators,
     inner_minors,
     named_binomials,
@@ -168,7 +167,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             phi = toric_map_marked(shape, ())
         budget = _budget_from_args(args)
         try:
-            basis = toric_ideal(exponent_matrix(phi).entries, budget, ring)
+            basis = toric_ideal(phi.entries, budget, ring)
         except BudgetExhausted as exc:
             print(f"budget exhausted: {exc.reason} ({exc.phase}; pairs={exc.pairs}, "
                   f"max degree seen={exc.max_degree_seen})", file=sys.stderr)
@@ -292,61 +291,57 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own 2 means a counterexample here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyprime",
         description="Classify lattice shapes and certify primality of their binomial ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, shape_arg: bool = True) -> None:
-        if shape_arg:
-            p.add_argument("shape", help="shape file (text grid or JSON), '-' for stdin")
-            p.add_argument("--format", choices=("grid", "json"), default=None)
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
-        p.add_argument("--output", default=None, help="also write the JSON payload here")
-        p.add_argument("--budget-pairs", type=int, default=None)
-        p.add_argument("--budget-degree", type=int, default=None)
-        p.add_argument("--budget-seconds", type=float, default=None)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("shape", help="shape file (text grid or JSON), '-' for stdin")
+    shape.add_argument("--format", choices=("grid", "json"), default=None)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="machine-readable stdout")
+    report.add_argument("--output", default=None, help="also write the JSON payload here")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-pairs", type=int, default=None)
+    budget.add_argument("--budget-degree", type=int, default=None)
+    budget.add_argument("--budget-seconds", type=float, default=None)
 
-    p_classify = sub.add_parser("classify", help="structure facts for a shape")
-    common(p_classify)
-    p_classify.add_argument("--min-steps", type=int, default=3, help="ladder step threshold")
-    p_classify.set_defaults(func=_cmd_classify)
+    def command(name: str, func, about: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=list(parents), help=about)
+        p.set_defaults(func=func)
+        return p
 
-    p_zigzag = sub.add_parser("zigzag", help="search for a zig-zag walk")
-    common(p_zigzag)
-    p_zigzag.set_defaults(func=_cmd_zigzag)
-
-    p_ideal = sub.add_parser("ideal", help="export generators (and optionally the kernel basis)")
-    common(p_ideal)
-    p_ideal.add_argument("--toric", action="store_true", help="also compute the kernel basis")
-    p_ideal.add_argument("--marked", choices=("none", "lconfig"), default="none")
-    p_ideal.set_defaults(func=_cmd_ideal)
-
-    p_certify = sub.add_parser("certify", help="primality verdict for a shape")
-    common(p_certify)
-    p_certify.set_defaults(func=_cmd_certify)
-
-    p_enum = sub.add_parser("enumerate", help="stream closed paths up to a rank bound")
-    common(p_enum, shape_arg=False)
-    p_enum.add_argument("--max-rank", type=int, required=True)
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_verify = sub.add_parser("verify", help="run the exhaustive verification harness")
-    common(p_verify, shape_arg=False)
-    p_verify.add_argument("--max-rank", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--no-certify", action="store_true", help="structural checks only")
-    p_verify.add_argument("--cache-dir", default=None, help="content-addressed result cache")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_family = sub.add_parser("family", help="validate and certify a composite family instance")
-    common(p_family, shape_arg=False)
-    p_family.add_argument("spec", help="family spec JSON, '-' for stdin")
-    p_family.add_argument("--certify", action="store_true")
-    p_family.set_defaults(func=_cmd_family)
-
+    p = command("classify", _cmd_classify, "structure facts for a shape", shape, report)
+    p.add_argument("--min-steps", type=int, default=3, help="ladder step threshold")
+    command("zigzag", _cmd_zigzag, "search for a zig-zag walk", shape, report)
+    p = command("ideal", _cmd_ideal, "export generators (and optionally the kernel basis)",
+                shape, budget)
+    p.add_argument("--output", default=None, help="also write the exported text here")
+    p.add_argument("--toric", action="store_true", help="also compute the kernel basis")
+    p.add_argument("--marked", choices=("none", "lconfig"), default="none")
+    command("certify", _cmd_certify, "primality verdict for a shape", shape, report, budget)
+    p = command("enumerate", _cmd_enumerate, "stream closed paths up to a rank bound")
+    p.add_argument("--max-rank", type=int, required=True)
+    p = command("verify", _cmd_verify, "run the exhaustive verification harness", report, budget)
+    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--no-certify", action="store_true", help="structural checks only")
+    p.add_argument("--cache-dir", default=None, help="content-addressed result cache")
+    p = command("family", _cmd_family, "validate and certify a composite family instance",
+                report, budget)
+    p.add_argument("spec", help="family spec JSON, '-' for stdin")
+    p.add_argument("--certify", action="store_true")
     return parser
 
 

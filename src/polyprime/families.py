@@ -40,11 +40,11 @@ from .grid import (
     VERTICAL,
     cell_edges,
     cell_vertices,
+    edge_interval_through,
     edges,
     holes,
     is_simple,
     maximal_blocks,
-    maximal_edge_intervals,
     transform_cells,
     vertices,
 )
@@ -427,10 +427,10 @@ def check_good_l_rectangle(p: Polyomino, spec: FamilySpec) -> bool:
 
 
 def _maximal_interval_through(p: Polyomino, point: Point, orientation: str) -> EdgeInterval:
-    for interval in maximal_edge_intervals(p, orientation):
-        if interval.contains_point(point):
-            return interval
-    raise ValueError(f"no {orientation} edge interval through {point}")
+    interval = edge_interval_through(p, point, orientation)
+    if interval is None:
+        raise ValueError(f"no {orientation} edge interval through {point}")
+    return interval
 
 
 def family_marked_set(p: Polyomino, spec: FamilySpec) -> tuple[frozenset[Point], str]:

@@ -4,15 +4,15 @@ The generator ideal of a shape has one binomial per inner interval: the
 product of the diagonal-corner variables minus the product of the
 anti-diagonal ones.  A toric map sends each vertex to the product of the
 variables of its two maximal edge intervals, times an extra variable ``w``
-on a marked vertex set.  Its exponent matrix A has one column per vertex,
-in :func:`vertex_ring` order, and a binomial lies in the map's kernel
-exactly when A times its exponent difference is zero.
+on a marked vertex set.  :class:`ToricMap` is that map's exponent matrix A,
+one column per vertex in :func:`vertex_ring` order, and a binomial lies in
+the map's kernel exactly when A times its exponent difference is zero.
 
 The certification path works on the minors as exponent tuples over that
 same vertex order: :mod:`polyprime.toric` proves I_P = ker(phi) from those
 tuples and A, and computes kernel bases as tuples too.  The named
-:class:`Monomial`/:class:`Binomial` forms are for export and display, made
-by :func:`named_binomials`.
+:class:`Monomial`/:class:`Binomial` forms are for export and display;
+:func:`named_binomials` is the one place that makes them.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
-
-    def variables(self) -> tuple[Var, ...]:
-        return tuple(v for v, _ in self.exponents)
 
     def __str__(self) -> str:
         if not self.exponents:
@@ -144,7 +141,7 @@ def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
 
     Intervals come in the deterministic interval order; exponents are over
     :func:`vertex_ring`, which is also the column order of
-    :func:`exponent_matrix`.
+    :attr:`ToricMap.entries`.
     """
     column = {v: i for i, v in enumerate(sorted(vertices(p)))}
 
@@ -174,66 +171,49 @@ def inner_minors(p: Polyomino) -> list[Binomial]:
 
 @dataclass(frozen=True)
 class ToricMap:
-    """Vertex-to-monomial assignment over edge-interval variables plus ``w``."""
+    """A toric map phi as its exponent matrix A.
 
-    assignment: tuple[tuple[Point, Monomial], ...]
-    marked: frozenset[Point]
-    target_variables: tuple[Var, ...]
-
-    @classmethod
-    def build(cls, p: Polyomino, marked: Iterable[Point]) -> "ToricMap":
-        marked_set = frozenset(marked)
-        verts = vertices(p)
-        if not marked_set <= verts:
-            raise ValueError(f"marked vertices not in the shape: {sorted(marked_set - verts)}")
-        v_intervals = maximal_edge_intervals(p, VERTICAL)
-        h_intervals = maximal_edge_intervals(p, HORIZONTAL)
-        target: list[Var] = [(VEDGE, i) for i in range(len(v_intervals))]
-        target += [(HEDGE, j) for j in range(len(h_intervals))]
-        if marked_set:
-            target.append(W)
-        assignment = []
-        for vertex in sorted(verts):
-            vi = next(i for i, iv in enumerate(v_intervals) if iv.contains_point(vertex))
-            hj = next(j for j, ih in enumerate(h_intervals) if ih.contains_point(vertex))
-            exps: dict[Var, int] = {(VEDGE, vi): 1, (HEDGE, hj): 1}
-            if vertex in marked_set:
-                exps[W] = 1
-            assignment.append((vertex, Monomial.from_dict(exps)))
-        return cls(tuple(assignment), marked_set, tuple(target))
-
-    def domain(self) -> tuple[Point, ...]:
-        return tuple(v for v, _ in self.assignment)
-
-
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Column r is the exponent vector of the image of vertex variable r."""
+    Column r of ``entries`` is the exponent vector of phi(x_r), the r-th
+    variable of ``column_variables`` (:func:`vertex_ring` order); row k
+    belongs to the k-th target variable.  Each vertex maps to the product
+    of the variables of its two maximal edge intervals, times ``w`` when
+    it lies in ``marked``.
+    """
 
     column_variables: tuple[Var, ...]
+    target_variables: tuple[Var, ...]
     entries: tuple[tuple[int, ...], ...]
-
-
-def exponent_matrix(phi: ToricMap) -> ExponentMatrix:
-    columns = tuple(vertex_var(v) for v in phi.domain())
-    row_index = {v: i for i, v in enumerate(phi.target_variables)}
-    entries = [[0] * len(columns) for _ in phi.target_variables]
-    for col, (_, mono) in enumerate(phi.assignment):
-        for tv, te in mono.exponents:
-            entries[row_index[tv]][col] = te
-    return ExponentMatrix(columns, tuple(tuple(r) for r in entries))
+    marked: frozenset[Point]
 
 
 def toric_map_marked(p: Polyomino, marked: Iterable[Point]) -> ToricMap:
-    """Generic marked-vertex map; ``marked = ()`` gives the plain edge map."""
-    return ToricMap.build(p, marked)
+    """Generic marked-vertex map; ``marked = ()`` gives the plain edge map.
+
+    One row per maximal vertical edge interval, then one per horizontal
+    one, then the ``w`` row when some vertex is marked.  Maximal edge
+    intervals of one orientation are disjoint, so every column has one 1
+    in each of the first two blocks of rows.
+    """
+    marked_set = frozenset(marked)
+    order = sorted(vertices(p))
+    if not marked_set <= set(order):
+        raise ValueError(f"marked vertices not in the shape: {sorted(marked_set - set(order))}")
+    v_intervals = maximal_edge_intervals(p, VERTICAL)
+    h_intervals = maximal_edge_intervals(p, HORIZONTAL)
+    target: list[Var] = [(VEDGE, i) for i in range(len(v_intervals))]
+    target += [(HEDGE, j) for j in range(len(h_intervals))]
+    rows = [tuple(int(iv.contains_point(v)) for v in order) for iv in v_intervals + h_intervals]
+    if marked_set:
+        target.append(W)
+        rows.append(tuple(int(v in marked_set) for v in order))
+    return ToricMap(tuple(vertex_var(v) for v in order), tuple(target), tuple(rows), marked_set)
 
 
 def toric_map_lconfig(p: Polyomino, l: LConfiguration) -> ToricMap:
     """Mark the four vertices of the corner cell of an L-configuration."""
     if l not in find_l_configurations(p):
         raise ValueError("not an L-configuration of this polyomino")
-    return ToricMap.build(p, cell_vertices(l.corner_cell))
+    return toric_map_marked(p, cell_vertices(l.corner_cell))
 
 
 def _ladder_pose_ok(blocks: list[tuple[tuple[int, int], ...]],
@@ -296,15 +276,15 @@ def toric_map_ladder(p: Polyomino, ladder: Ladder) -> ToricMap:
     """Toric map marking the ladder's reference corners."""
     if ladder not in find_ladders(p, min_steps=2):
         raise ValueError("not a maximal ladder of this polyomino")
-    return ToricMap.build(p, ladder_marked_set(ladder, p.cells))
+    return toric_map_marked(p, ladder_marked_set(ladder, p.cells))
 
 
-def check_containment(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix) -> bool:
+def check_containment(minors: Sequence[ExponentBinomial], phi: ToricMap) -> bool:
     """True iff A * (plus - minus) = 0 for every minor: all lie in ker(phi)."""
     return all(
         sum(a * (x - y) for a, x, y in zip(row, plus, minus)) == 0
         for plus, minus in minors
-        for row in matrix.entries
+        for row in phi.entries
     )
 
 

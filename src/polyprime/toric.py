@@ -10,16 +10,18 @@ order comparison and the total degree (one multiplication that adds every
 field into the top one) are constant-count big-int operations.  The only
 orders are degrevlex with one chosen variable cheapest.
 
-A Prime verdict proves I_P = ker(phi) from the inner minors alone.  Given
+A Prime verdict proves I_P = ker(phi) from the inner minors and phi's
+exponent matrix A (:class:`polyprime.ideals.ToricMap`) alone.  Given
 containment, the minors' exponent lattice must equal the integer kernel of
-the map (same rank, index 1 in its saturation), and I_P must be saturated
+A (rank n - rank(A), index 1 in its saturation), and I_P must be saturated
 with respect to every vertex variable (one reduced Groebner basis per
 variable, in degrevlex with that variable cheapest).  A symmetry of the
 shape that fixes the set of minors carries each saturation to another, so
 one run per orbit of the vertex variables under those symmetries suffices
-(:func:`check_saturated`).  The kernel basis
-itself (lattice-basis ideal -> saturation by every variable -> reduced
-basis, ``toric_ideal``) is computed only for output and as a test oracle.
+(:func:`check_saturated`).  A kernel basis (``integer_kernel``) and the
+kernel ideal built from it (lattice-basis ideal -> saturation by every
+variable -> reduced basis, ``toric_ideal``) are computed only for output
+and as a test oracle.
 """
 
 from __future__ import annotations
@@ -41,12 +43,10 @@ from .classify import (
 from .grid import Polyomino, is_simple
 from .ideals import (
     ExponentBinomial,
-    ExponentMatrix,
     Mono,
     ToricMap,
     Var,
     check_containment,
-    exponent_matrix,
     format_var,
     minor_exponents,
     toric_map_ladder,
@@ -739,18 +739,19 @@ def _orbit_representatives(gens: Sequence[ExponentBinomial], n: int,
     return representatives
 
 
-def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
+def attempt_equality(minors: Sequence[ExponentBinomial], phi: ToricMap,
                      budget: Budget,
                      symmetries: Sequence[Sequence[int]] = ()) -> tuple[str, tuple[str, ...]]:
     """Prove I_P = ker(phi) from the inner minors, given containment.
 
-    ``minors`` are the exponent tuples of :func:`minor_exponents` and
-    ``matrix`` the exponent matrix A of phi, whose columns follow the same
-    vertex order.  Let L be the integer span of the minors' exponent
-    vectors; containment gives L inside ker_Z(A).
+    ``minors`` are the exponent tuples of :func:`minor_exponents`; the
+    columns of phi's exponent matrix A follow the same vertex order.  Let
+    L be the integer span of the minors' exponent vectors; containment
+    gives L inside ker_Z(A).
 
-    (a) Lattice check: L has the rank of ker_Z(A) and index 1 in its
-        saturation, so L = ker_Z(A).
+    (a) Lattice check: L has the rank of ker_Z(A), which is n - rank(A)
+        for n vertex variables, and index 1 in its saturation, so
+        L = ker_Z(A).
     (b) Saturation check (:func:`check_saturated`): I_P : x_i^infinity
         = I_P for every vertex variable x_i, with one Groebner run per
         orbit of the variables under those of ``symmetries`` (column
@@ -764,7 +765,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
     each Groebner run in it; exhaustion downgrades to containment-only,
     with a note naming the phase and the variable.
     """
-    kernel_rank = len(integer_kernel(matrix.entries))
+    kernel_rank = len(phi.column_variables) - len(_column_reduce([list(r) for r in phi.entries]))
     rank, index = lattice_rank_and_index(
         [tuple(a - b for a, b in zip(plus, minus)) for plus, minus in minors]
     )
@@ -775,7 +776,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
     if index != 1:
         raise CounterexampleFound(f"minor lattice has index {index} in its saturation")
     try:
-        check_saturated(minors, matrix.column_variables, budget, symmetries)
+        check_saturated(minors, phi.column_variables, budget, symmetries)
     except BudgetExhausted as exc:
         return EQUALITY_CONTAINMENT, (f"budget exhausted: {exc.reason} ({exc.phase})",)
     return EQUALITY_FULL, ()
@@ -784,15 +785,14 @@ def attempt_equality(minors: Sequence[ExponentBinomial], matrix: ExponentMatrix,
 def prove_prime(p: Polyomino, phi: ToricMap, proof: str, budget: Budget) -> PrimalityVerdict:
     """Prime verdict from a map whose kernel should be I_P.
 
-    Builds the minors' exponent tuples, phi's exponent matrix and the
-    shape's vertex permutations once; :func:`check_containment` and then
-    :func:`attempt_equality` read them.
+    Builds the minors' exponent tuples and the shape's vertex permutations
+    once; :func:`check_containment` and then :func:`attempt_equality` read
+    them with phi's exponent matrix.
     """
     minors = minor_exponents(p)
-    matrix = exponent_matrix(phi)
-    if not check_containment(minors, matrix):
+    if not check_containment(minors, phi):
         raise CounterexampleFound(f"{proof} map fails to kill an inner minor")
-    equality, notes = attempt_equality(minors, matrix, budget, vertex_symmetries(p))
+    equality, notes = attempt_equality(minors, phi, budget, vertex_symmetries(p))
     return PrimalityVerdict("prime", proof, equality, notes=notes)
 
 

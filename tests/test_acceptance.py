@@ -20,7 +20,6 @@ from polyprime.classify import (
 from polyprime.families import verify_main_theorem
 from polyprime.grid import Polyomino, holes
 from polyprime.ideals import (
-    exponent_matrix,
     inner_minors,
     minor_exponents,
     named_binomials,
@@ -59,8 +58,7 @@ def criterion1_report() -> dict:
     cert = closed_path_certificate(frame3)
     verdict = certify_primality(frame3, Budget(max_seconds=300))
     phi = toric_map_lconfig(frame3, find_l_configurations(frame3)[0])
-    matrix = exponent_matrix(phi)
-    gb = toric_ideal(matrix.entries)
+    gb = toric_ideal(phi.entries)
     return {
         "cycle_length": cert.length if cert else None,
         "l_configurations": len(find_l_configurations(frame3)),
@@ -69,7 +67,7 @@ def criterion1_report() -> dict:
         "verdict": verdict.to_json_dict(),
         "vertex_variables": len(vertex_ring(frame3)),
         "target_variables": len(phi.target_variables),
-        "kernel_basis": _gb_strings(matrix.column_variables, gb),
+        "kernel_basis": _gb_strings(phi.column_variables, gb),
     }
 
 
@@ -101,7 +99,7 @@ def criterion4_report() -> dict:
     for w in (1, 2, 3):
         for h in (1, 2, 3):
             shape = rectangle(w, h)
-            mat = exponent_matrix(toric_map_marked(shape, ())).entries
+            mat = toric_map_marked(shape, ()).entries
             gb_kernel = toric_ideal(mat)
             gb_minors = buchberger(minor_exponents(shape))
             rect_results[f"{w}x{h}"] = gb_kernel == gb_minors
@@ -213,10 +211,10 @@ def test_criterion_5_saturation_and_soundness():
     checked = 0
     suite = [TWISTED_CUBIC]
     for w, h in ((2, 2), (3, 2)):
-        suite.append(exponent_matrix(toric_map_marked(rectangle(w, h), ())).entries)
+        suite.append(toric_map_marked(rectangle(w, h), ()).entries)
     frame3 = Polyomino.from_cells(FRAME3_CELLS)
     suite.append(
-        exponent_matrix(toric_map_lconfig(frame3, find_l_configurations(frame3)[0])).entries
+        toric_map_lconfig(frame3, find_l_configurations(frame3)[0]).entries
     )
     for matrix in suite:
         gens = toric_ideal(matrix)

@@ -224,3 +224,48 @@ def test_byte_stable_outputs(frame3_grid, capsys):
     first = capsys.readouterr().out
     main(["classify", frame3_grid, "--json"])
     assert capsys.readouterr().out == first
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    return stop.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["certify"],
+    ["certify", "shapes/frame3.grid", "--no-such-flag"],
+    ["enumerate"],
+    ["verify", "--max-rank", "ten"],
+])
+def test_usage_errors_exit4_not_counterexample(argv, capsys):
+    # argparse would exit 2, which this CLI reserves for a counterexample.
+    assert _exit_code(argv) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["enumerate", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert _exit_code(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "FRAME3", "--budget-pairs", "1"],
+    ["zigzag", "FRAME3", "--budget-seconds", "1"],
+    ["enumerate", "--max-rank", "8", "--budget-degree", "1"],
+    ["enumerate", "--max-rank", "8", "--json"],
+    ["ideal", "FRAME3", "--json"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    argv = [str(SHAPES / "frame3.grid") if a == "FRAME3" else a for a in argv]
+    assert _exit_code(argv) == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_enumerate_output_flag_is_rejected_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "F"
+    assert _exit_code(["enumerate", "--max-rank", "8", "--output", str(target)]) == 4
+    assert not target.exists()
+    assert capsys.readouterr().out == ""

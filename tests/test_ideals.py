@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from polyprime.classify import find_l_configurations, find_ladders
@@ -14,6 +16,7 @@ from polyprime.ideals import (
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_ring,
     vertex_symmetries,
     vertex_var,
 )
@@ -87,6 +90,12 @@ def test_inner_minor_single_cell():
 
 # --- toric maps -------------------------------------------------------------
 
+def _column(phi, point):
+    """The exponent vector of phi(x_point): one column of the map's matrix."""
+    r = phi.column_variables.index(vertex_var(point))
+    return {t: row[r] for t, row in zip(phi.target_variables, phi.entries) if row[r]}
+
+
 def test_lconfig_map_frame3(frame3):
     from polyprime.grid import HORIZONTAL, VERTICAL, maximal_edge_intervals
 
@@ -94,8 +103,8 @@ def test_lconfig_map_frame3(frame3):
     phi = toric_map_lconfig(frame3, lconf)
     assert phi.marked == set(cell_vertices((0, 0)))
     assert len(phi.target_variables) == 9  # 4 vertical + 4 horizontal + w
-    image = dict(phi.assignment)[(1, 1)]
-    assert image.degree == 3
+    image = _column(phi, (1, 1))
+    assert sum(image.values()) == 3
     # (1,1) lies on the x=1 vertical and y=1 horizontal maximal intervals.
     v_idx = next(
         i for i, iv in enumerate(maximal_edge_intervals(frame3, VERTICAL)) if iv.line == 1
@@ -103,13 +112,44 @@ def test_lconfig_map_frame3(frame3):
     h_idx = next(
         j for j, ih in enumerate(maximal_edge_intervals(frame3, HORIZONTAL)) if ih.line == 1
     )
-    assert dict(image.exponents) == {("v", v_idx): 1, ("h", h_idx): 1, W: 1}
+    assert image == {("v", v_idx): 1, ("h", h_idx): 1, W: 1}
 
 
 def test_unmarked_vertex_images_have_degree_two(frame3):
     phi = toric_map_marked(frame3, ())
-    assert all(m.degree == 2 for _, m in phi.assignment)
+    assert phi.column_variables == vertex_ring(frame3)
+    assert all(sum(column) == 2 for column in zip(*phi.entries))
     assert W not in phi.target_variables
+
+
+# sha256 of the maps below as (column_variables, target_variables, entries,
+# sorted marked set), computed from the two-step construction this matrix
+# form replaced (a named monomial per vertex, then its exponent matrix).
+MAP_DIGEST = "a86ac21ec08ce3439cb716a051b2011abe407007010af8fb065c1c099fbd0c29"
+
+
+def test_map_matrices_match_recorded_digest(monkeypatch, frame3):
+    # Every map the certified rank <= 16 sweep builds, in build order; the
+    # proof step is stubbed out because only the maps are compared here.
+    import polyprime.toric as toric
+    from polyprime.families import verify_main_theorem
+
+    maps = []
+
+    def record(p, phi, proof, budget):
+        maps.append(phi)
+        return toric.PrimalityVerdict("prime", proof, "full")
+
+    monkeypatch.delenv("POLYPRIME_CACHE", raising=False)
+    monkeypatch.setattr(toric, "prove_prime", record)
+    verify_main_theorem(16)
+    # The two markings of `polyprime ideal --toric` on frame3.
+    maps += [toric_map_marked(frame3, ()),
+             toric_map_lconfig(frame3, find_l_configurations(frame3)[0])]
+    assert len(maps) == 36
+    key = [(phi.column_variables, phi.target_variables, phi.entries, tuple(sorted(phi.marked)))
+           for phi in maps]
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == MAP_DIGEST
 
 
 def test_marked_must_be_vertices(frame3):

@@ -7,7 +7,6 @@ from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.grid import Polyomino
 from polyprime.ideals import (
     check_containment,
-    exponent_matrix,
     format_var,
     minor_exponents,
     toric_map_ladder,
@@ -183,8 +182,8 @@ def test_buchberger_twisted_cubic_reduced_basis():
 def test_buchberger_square_kills_degree4_kernel():
     square = rectangle(2, 2)
     gb = buchberger(minor_exponents(square))
-    mat = exponent_matrix(toric_map_marked(square, ()))
-    assert kernel_complete_up_to_degree(mat.entries, gb, 4)
+    phi = toric_map_marked(square, ())
+    assert kernel_complete_up_to_degree(phi.entries, gb, 4)
 
 
 def test_buchberger_determinism(frame3):
@@ -265,7 +264,7 @@ def test_budget_degree_cap():
 def test_toric_ideal_budget_caps_all_saturations(frame3):
     # ker of frame3's unmarked map takes 3,337 S-pairs over 17 runs, at most
     # 471 in any one run, so only one clock over all of them stops this cap.
-    matrix = exponent_matrix(toric_map_marked(frame3, ())).entries
+    matrix = toric_map_marked(frame3, ()).entries
     with pytest.raises(BudgetExhausted) as err:
         toric_ideal(matrix, Budget(max_pairs=471))
     assert err.value.pairs == 472
@@ -365,7 +364,7 @@ def test_saturate_rejects_inhomogeneous():
 
 def test_final_bases_have_coprime_halves(frame3):
     phi = toric_map_lconfig(frame3, find_l_configurations(frame3)[0])
-    for lead, tail in toric_ideal(exponent_matrix(phi).entries):
+    for lead, tail in toric_ideal(phi.entries):
         assert not any(l and t for l, t in zip(lead, tail))
 
 
@@ -388,15 +387,15 @@ def _assert_kernel_route_agrees(shape, phi):
     # The product proves equality by the lattice and saturation checks; the
     # kernel route rebuilds ker(phi) by saturating a lattice-basis ideal.
     # Both must describe the same ideal.
-    minors, matrix = minor_exponents(shape), exponent_matrix(phi)
-    assert check_containment(minors, matrix)
-    assert attempt_equality(minors, matrix, Budget()) == ("full", ())
-    assert buchberger(minors) == toric_ideal(matrix.entries)
+    minors = minor_exponents(shape)
+    assert check_containment(minors, phi)
+    assert attempt_equality(minors, phi, Budget()) == ("full", ())
+    assert buchberger(minors) == toric_ideal(phi.entries)
 
 
 def test_toric_ideal_single_cell():
     single = Polyomino.from_cells([(0, 0)])
-    gb = toric_ideal(exponent_matrix(toric_map_marked(single, ())).entries)
+    gb = toric_ideal(toric_map_marked(single, ()).entries)
     assert len(gb) == 1
     assert set(gb) == set(buchberger(minor_exponents(single)))
 
@@ -416,9 +415,9 @@ def test_kernel_completeness_oracle_suite(frame3):
     assert kernel_complete_up_to_degree(TWISTED_CUBIC, cubic, 4)
     for w, h in [(2, 2), (3, 2)]:
         shape = rectangle(w, h)
-        mat = exponent_matrix(toric_map_marked(shape, ())).entries
+        mat = toric_map_marked(shape, ()).entries
         assert kernel_complete_up_to_degree(mat, toric_ideal(mat), 4)
-    mat3 = exponent_matrix(toric_map_lconfig(frame3, find_l_configurations(frame3)[0])).entries
+    mat3 = toric_map_lconfig(frame3, find_l_configurations(frame3)[0]).entries
     assert kernel_complete_up_to_degree(mat3, toric_ideal(mat3), 3)
 
 
@@ -444,10 +443,10 @@ def test_attempt_equality_rejects_unmarked_map_on_diamond(diamond16):
     # The unmarked edge map kills every inner minor of diamond16, but its
     # kernel is strictly larger than the (non-prime) minor ideal.
     minors = minor_exponents(diamond16)
-    matrix = exponent_matrix(toric_map_marked(diamond16, ()))
-    assert check_containment(minors, matrix)
+    phi = toric_map_marked(diamond16, ())
+    assert check_containment(minors, phi)
     with pytest.raises(CounterexampleFound, match="minor lattice"):
-        attempt_equality(minors, matrix, Budget())
+        attempt_equality(minors, phi, Budget())
 
 
 def test_budget_stop_names_saturation_phase(frame3):
@@ -606,7 +605,7 @@ def test_certify_verdict_invariant_across_lconfig_choice(frame3):
     # The pipeline picks the first L-configuration; any choice must certify.
     minors = minor_exponents(frame3)
     for lconf in find_l_configurations(frame3):
-        gb = toric_ideal(exponent_matrix(toric_map_lconfig(frame3, lconf)).entries)
+        gb = toric_ideal(toric_map_lconfig(frame3, lconf).entries)
         assert buchberger(gb) == buchberger(minors)
 
 

@@ -13,6 +13,7 @@ from polyprime.grid import (
     Polyomino,
     TRANSFORM_NAMES,
     inner_intervals,
+    on_common_edge_interval,
     transform_polyomino,
 )
 from polyprime.zigzag import (
@@ -22,6 +23,8 @@ from polyprime.zigzag import (
     find_zigzag_walk,
     verify_zigzag,
 )
+
+from conftest import rectangle
 
 
 def test_no_walk_on_frame3(frame3):
@@ -125,3 +128,22 @@ def test_witnesses_pinned_to_rank18():
         witness = find_zigzag_walk(Polyomino.from_cells(cells))
         digest.update(json.dumps([cells, None if witness is None else witness.to_json()]).encode())
     assert digest.hexdigest() == WITNESS_DIGEST_R18
+
+
+def test_adjacent_corners_of_an_inner_interval_share_a_maximal_edge_interval(
+        good_l_instance, ladder_rect_instance):
+    # The side between two adjacent corners of an inner interval is made of
+    # edges of cells of the shape, so one maximal edge interval holds both
+    # corners.  The search therefore needs no such rule; verify_zigzag keeps
+    # the clause as an independent check.
+    shapes = list(enumerate_closed_paths(16))
+    shapes += [rectangle(w, h) for w in range(1, 5) for h in range(1, 5)]
+    shapes += [good_l_instance[0], ladder_rect_instance[0]]
+    pairs = 0
+    for shape in shapes:
+        for interval in inner_intervals(shape):
+            for corner in (interval.a, interval.b):
+                for neighbour in interval.anti_diagonal_corners:
+                    assert on_common_edge_interval(shape, corner, neighbour)
+                    pairs += 1
+    assert pairs > 1000
