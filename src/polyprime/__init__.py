@@ -51,16 +51,15 @@ from .grid import (
     walk_to_path,
 )
 from .ideals import (
-    Binomial,
-    Monomial,
     ToricMap,
     check_containment,
+    export_generators,
     inner_minors,
-    minor_exponents,
-    named_binomials,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
+    vertex_name,
+    vertex_order,
 )
 from .toric import (
     Budget,
@@ -71,7 +70,6 @@ from .toric import (
     buchberger,
     certify_primality,
     integer_kernel,
-    kernel_complete_up_to_degree,
     toric_ideal,
 )
 from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag

@@ -44,10 +44,10 @@ from .grid import (
 from .ideals import (
     export_generators,
     inner_minors,
-    named_binomials,
     toric_map_lconfig,
     toric_map_marked,
-    vertex_ring,
+    vertex_name,
+    vertex_order,
 )
 from .toric import (
     Budget,
@@ -152,9 +152,8 @@ def _cmd_zigzag(args: argparse.Namespace) -> int:
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
     shape = _read_shape(args.shape, args.format)
-    minors = inner_minors(shape)
-    ring = vertex_ring(shape)
-    out = export_generators(ring, minors)
+    names = [vertex_name(v) for v in vertex_order(shape)]
+    out = export_generators(names, inner_minors(shape))
     if args.toric:
         if args.marked == "lconfig":
             lconfigs = find_l_configurations(shape)
@@ -167,12 +166,12 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             phi = toric_map_marked(shape, ())
         budget = _budget_from_args(args)
         try:
-            basis = toric_ideal(phi.entries, budget, ring)
+            basis = toric_ideal(phi.entries, budget, names)
         except BudgetExhausted as exc:
             print(f"budget exhausted: {exc.reason} ({exc.phase}; pairs={exc.pairs}, "
                   f"max degree seen={exc.max_degree_seen})", file=sys.stderr)
             return EXIT_BUDGET
-        out += "\n" + export_generators(ring, named_binomials(ring, basis))
+        out += "\n" + export_generators(names, basis)
     sys.stdout.write(out)
     if args.output:
         Path(args.output).write_text(out)
@@ -311,35 +310,41 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--format", choices=("grid", "json"), default=None)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="machine-readable stdout")
-    report.add_argument("--output", default=None, help="also write the JSON payload here")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget-pairs", type=int, default=None)
     budget.add_argument("--budget-degree", type=int, default=None)
     budget.add_argument("--budget-seconds", type=float, default=None)
 
-    def command(name: str, func, about: str, *parents) -> argparse.ArgumentParser:
+    def command(name: str, func, about: str, *parents,
+                output: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=list(parents), help=about)
         p.set_defaults(func=func)
+        if output is not None:
+            p.add_argument("--output", default=None, help=f"also write {output} to this file")
         return p
 
-    p = command("classify", _cmd_classify, "structure facts for a shape", shape, report)
+    payload = "the indented JSON payload"
+
+    p = command("classify", _cmd_classify, "structure facts for a shape", shape, report,
+                output=payload)
     p.add_argument("--min-steps", type=int, default=3, help="ladder step threshold")
-    command("zigzag", _cmd_zigzag, "search for a zig-zag walk", shape, report)
+    command("zigzag", _cmd_zigzag, "search for a zig-zag walk", shape, report, output=payload)
     p = command("ideal", _cmd_ideal, "export generators (and optionally the kernel basis)",
-                shape, budget)
-    p.add_argument("--output", default=None, help="also write the exported text here")
+                shape, budget, output="the exported text")
     p.add_argument("--toric", action="store_true", help="also compute the kernel basis")
     p.add_argument("--marked", choices=("none", "lconfig"), default="none")
-    command("certify", _cmd_certify, "primality verdict for a shape", shape, report, budget)
+    command("certify", _cmd_certify, "primality verdict for a shape", shape, report, budget,
+            output=payload)
     p = command("enumerate", _cmd_enumerate, "stream closed paths up to a rank bound")
     p.add_argument("--max-rank", type=int, required=True)
-    p = command("verify", _cmd_verify, "run the exhaustive verification harness", report, budget)
+    p = command("verify", _cmd_verify, "run the exhaustive verification harness", report, budget,
+                output="the JSON-lines report (one record per shape, then a summary line)")
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     p.add_argument("--no-certify", action="store_true", help="structural checks only")
     p.add_argument("--cache-dir", default=None, help="content-addressed result cache")
     p = command("family", _cmd_family, "validate and certify a composite family instance",
-                report, budget)
+                report, budget, output=payload)
     p.add_argument("spec", help="family spec JSON, '-' for stdin")
     p.add_argument("--certify", action="store_true")
     return parser

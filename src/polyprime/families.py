@@ -184,26 +184,6 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     yield from extend()
 
 
-def all_polyominoes(max_rank: int) -> Iterator[Polyomino]:
-    """Naive free-polyomino enumeration (test oracle for completeness)."""
-    frontier: set[tuple[Cell, ...]] = {((0, 0),)}
-    yield Polyomino.from_cells(((0, 0),))
-    rank = 1
-    while rank < max_rank:
-        grown: set[tuple[Cell, ...]] = set()
-        for form in frontier:
-            cellset = set(form)
-            for x, y in form:
-                for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-                    if nxt in cellset:
-                        continue
-                    grown.add(canonical_form(Polyomino.from_cells(cellset | {nxt})).cells)
-        frontier = grown
-        rank += 1
-        for form in sorted(frontier):
-            yield Polyomino.from_cells(form)
-
-
 # ---------------------------------------------------------------------------
 # Composite family constructors
 # ---------------------------------------------------------------------------
@@ -664,7 +644,10 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     unique hole, non-simplicity, and (optionally) the primality verdict with
     containment on the prime side.  Any violation raises
     :class:`CounterexampleFound` - that is the falsification channel.
+    ``jobs`` is the number of worker processes, at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     shapes = sorted(
         (p.sorted_cells() for p in enumerate_closed_paths(max_rank)),
         key=lambda cells: (len(cells), cells),

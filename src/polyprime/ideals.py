@@ -1,24 +1,26 @@
 """Inner 2-minor generators and vertex-to-monomial (toric) maps.
 
-The generator ideal of a shape has one binomial per inner interval: the
-product of the diagonal-corner variables minus the product of the
-anti-diagonal ones.  A toric map sends each vertex to the product of the
-variables of its two maximal edge intervals, times an extra variable ``w``
-on a marked vertex set.  :class:`ToricMap` is that map's exponent matrix A,
-one column per vertex in :func:`vertex_ring` order, and a binomial lies in
-the map's kernel exactly when A times its exponent difference is zero.
+One representation throughout: a monomial is an exponent tuple over the
+sorted vertex order (:func:`vertex_order`), and a binomial is a (plus,
+minus) pair of such tuples.  The generator ideal I_P of a shape has one
+binomial per inner interval (:func:`inner_minors`): the product of the
+diagonal-corner variables minus the product of the anti-diagonal ones.  A
+toric map sends each vertex to the product of the variables of its two
+maximal edge intervals, times an extra variable ``w`` on a marked vertex
+set.  :class:`ToricMap` is that map's exponent matrix A, one column per
+vertex, and a binomial lies in the map's kernel exactly when A times its
+exponent difference is zero.  :mod:`polyprime.toric` proves
+I_P = ker(phi) from these tuples and A alone.
 
-The certification path works on the minors as exponent tuples over that
-same vertex order: :mod:`polyprime.toric` proves I_P = ker(phi) from those
-tuples and A, and computes kernel bases as tuples too.  The named
-:class:`Monomial`/:class:`Binomial` forms are for export and display;
-:func:`named_binomials` is the one place that makes them.
+Names are a print step: :func:`vertex_name` is the only code that names a
+variable, and :func:`export_generators` prints exponent tuples under a
+list of names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .classify import Ladder, LConfiguration, find_l_configurations, find_ladders
 from .grid import (
@@ -37,90 +39,30 @@ from .grid import (
     vertices,
 )
 
-# Variable identifiers.  Vertex variables are ("x", point); target-ring
-# variables are ("v", k) / ("h", k) for the k-th maximal vertical/horizontal
-# edge interval and ("w",) for the marking variable.
-Var = tuple
 Mono = tuple[int, ...]
 # (plus, minus) exponent tuples of a binomial over a fixed variable order.
 ExponentBinomial = tuple[Mono, Mono]
 
-X = "x"
-VEDGE = "v"
-HEDGE = "h"
-W: Var = ("w",)
+
+def vertex_order(p: Polyomino) -> tuple[Point, ...]:
+    """The vertices in sorted order: the variables of I_P and the columns of every map."""
+    return tuple(sorted(vertices(p)))
 
 
-def vertex_var(point: Point) -> Var:
-    return (X, point)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent map with positive entries, stored sorted for hashing."""
-
-    exponents: tuple[tuple[Var, int], ...]
-
-    @classmethod
-    def from_dict(cls, exps: Mapping[Var, int]) -> "Monomial":
-        items = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
-        if any(e < 0 for _, e in items):
-            raise ValueError("negative exponent")
-        return cls(items)
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
-    def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        parts = []
-        for v, e in self.exponents:
-            name = format_var(v)
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
-
-def format_var(v: Var) -> str:
-    if len(v) == 2 and v[0] == X and isinstance(v[1], tuple):
-        x, y = v[1]
-        return f"x_{x}_{y}".replace("-", "m")
-    if len(v) == 2 and v[0] in (VEDGE, HEDGE):
-        return f"{v[0]}{v[1]}"
-    if v == W:
-        return "w"
-    return "_".join(str(part) for part in v)
-
-
-@dataclass(frozen=True)
-class Binomial:
-    """Difference of two monomials; ``plus == minus`` encodes zero."""
-
-    plus: Monomial
-    minus: Monomial
-
-    def __str__(self) -> str:
-        return f"{self.plus} - {self.minus}"
-
-
-def vertex_ring(p: Polyomino) -> tuple[Var, ...]:
-    """The vertex variables in sorted vertex order: the ring of I_P."""
-    return tuple(vertex_var(v) for v in sorted(vertices(p)))
+def vertex_name(point: Point) -> str:
+    """Print name of a vertex variable: ``x_1_0``, with ``-`` printed as ``m``."""
+    x, y = point
+    return f"x_{x}_{y}".replace("-", "m")
 
 
 def vertex_symmetries(p: Polyomino) -> tuple[tuple[int, ...], ...]:
-    """Column permutations of :func:`vertex_ring` induced by the shape's symmetries.
+    """Column permutations of :func:`vertex_order` induced by the shape's symmetries.
 
     One permutation per dihedral map of the lattice that sends the cell
     set onto itself after a translation, the identity first.  Entry i is
     the column of the image of vertex i.
     """
-    order = sorted(vertices(p))
+    order = vertex_order(p)
     column = {v: i for i, v in enumerate(order)}
     (x0, y0), _ = p.bounding_box()
     perms = []
@@ -136,14 +78,14 @@ def vertex_symmetries(p: Polyomino) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
+def inner_minors(p: Polyomino) -> list[ExponentBinomial]:
     """One (diagonal, anti-diagonal) exponent pair per inner interval.
 
     Intervals come in the deterministic interval order; exponents are over
-    :func:`vertex_ring`, which is also the column order of
+    :func:`vertex_order`, which is also the column order of
     :attr:`ToricMap.entries`.
     """
-    column = {v: i for i, v in enumerate(sorted(vertices(p)))}
+    column = {v: i for i, v in enumerate(vertex_order(p))}
 
     def corners(a: Point, b: Point) -> Mono:
         exps = [0] * len(column)
@@ -157,31 +99,21 @@ def minor_exponents(p: Polyomino) -> list[ExponentBinomial]:
     ]
 
 
-def named_binomials(ring: Sequence[Var],
-                    binomials: Iterable[ExponentBinomial]) -> list[Binomial]:
-    """Name exponent binomials by the variables of ``ring``, for export and display."""
-    name = lambda exps: Monomial.from_dict(dict(zip(ring, exps)))
-    return [Binomial(name(plus), name(minus)) for plus, minus in binomials]
-
-
-def inner_minors(p: Polyomino) -> list[Binomial]:
-    """Named view of :func:`minor_exponents`, for export and display."""
-    return named_binomials(vertex_ring(p), minor_exponents(p))
-
-
 @dataclass(frozen=True)
 class ToricMap:
     """A toric map phi as its exponent matrix A.
 
-    Column r of ``entries`` is the exponent vector of phi(x_r), the r-th
-    variable of ``column_variables`` (:func:`vertex_ring` order); row k
-    belongs to the k-th target variable.  Each vertex maps to the product
-    of the variables of its two maximal edge intervals, times ``w`` when
-    it lies in ``marked``.
+    Column r of ``entries`` is the exponent vector of phi(x_r), for the
+    vertex ``columns[r]`` (:func:`vertex_order`).  The rows are the target
+    variables: one per maximal vertical edge interval, then one per
+    maximal horizontal edge interval, each block in the order of
+    :func:`polyprime.grid.maximal_edge_intervals`, then a last row ``w``
+    when ``marked`` is not empty.  Each vertex maps to the product of the
+    variables of its two maximal edge intervals, times ``w`` when it lies
+    in ``marked``.
     """
 
-    column_variables: tuple[Var, ...]
-    target_variables: tuple[Var, ...]
+    columns: tuple[Point, ...]
     entries: tuple[tuple[int, ...], ...]
     marked: frozenset[Point]
 
@@ -189,28 +121,27 @@ class ToricMap:
 def toric_map_marked(p: Polyomino, marked: Iterable[Point]) -> ToricMap:
     """Generic marked-vertex map; ``marked = ()`` gives the plain edge map.
 
-    One row per maximal vertical edge interval, then one per horizontal
-    one, then the ``w`` row when some vertex is marked.  Maximal edge
-    intervals of one orientation are disjoint, so every column has one 1
-    in each of the first two blocks of rows.
+    Rows as in :class:`ToricMap`.  Maximal edge intervals of one
+    orientation are disjoint, so every column has one 1 in each of the
+    first two blocks of rows.
     """
     marked_set = frozenset(marked)
-    order = sorted(vertices(p))
+    order = vertex_order(p)
     if not marked_set <= set(order):
         raise ValueError(f"marked vertices not in the shape: {sorted(marked_set - set(order))}")
-    v_intervals = maximal_edge_intervals(p, VERTICAL)
-    h_intervals = maximal_edge_intervals(p, HORIZONTAL)
-    target: list[Var] = [(VEDGE, i) for i in range(len(v_intervals))]
-    target += [(HEDGE, j) for j in range(len(h_intervals))]
-    rows = [tuple(int(iv.contains_point(v)) for v in order) for iv in v_intervals + h_intervals]
+    intervals = maximal_edge_intervals(p, VERTICAL) + maximal_edge_intervals(p, HORIZONTAL)
+    rows = [tuple(int(iv.contains_point(v)) for v in order) for iv in intervals]
     if marked_set:
-        target.append(W)
         rows.append(tuple(int(v in marked_set) for v in order))
-    return ToricMap(tuple(vertex_var(v) for v in order), tuple(target), tuple(rows), marked_set)
+    return ToricMap(order, tuple(rows), marked_set)
 
 
 def toric_map_lconfig(p: Polyomino, l: LConfiguration) -> ToricMap:
-    """Mark the four vertices of the corner cell of an L-configuration."""
+    """Mark the four vertices of the corner cell of an L-configuration of ``p``.
+
+    Checks that ``l`` is one of the shape's; a caller that took ``l`` from
+    :func:`find_l_configurations` can call :func:`toric_map_marked` instead.
+    """
     if l not in find_l_configurations(p):
         raise ValueError("not an L-configuration of this polyomino")
     return toric_map_marked(p, cell_vertices(l.corner_cell))
@@ -273,7 +204,12 @@ def ladder_marked_set(ladder: Ladder, shape_cells: frozenset[tuple[int, int]]) -
 
 
 def toric_map_ladder(p: Polyomino, ladder: Ladder) -> ToricMap:
-    """Toric map marking the ladder's reference corners."""
+    """Toric map marking the reference corners of a maximal ladder of ``p``.
+
+    Checks that ``ladder`` is one of the shape's; a caller that took it
+    from :func:`find_ladders` can call :func:`toric_map_marked` with
+    :func:`ladder_marked_set` instead.
+    """
     if ladder not in find_ladders(p, min_steps=2):
         raise ValueError("not a maximal ladder of this polyomino")
     return toric_map_marked(p, ladder_marked_set(ladder, p.cells))
@@ -288,8 +224,18 @@ def check_containment(minors: Sequence[ExponentBinomial], phi: ToricMap) -> bool
     )
 
 
-def export_generators(variables: Iterable[Var], binomials: Iterable[Binomial]) -> str:
-    """Plain algebra exchange text: variable list, then one binomial per line."""
-    lines = ["ring " + " ".join(format_var(v) for v in variables)]
-    lines += [str(b) for b in binomials]
+def export_generators(names: Sequence[str], binomials: Iterable[ExponentBinomial]) -> str:
+    """Plain algebra exchange text: ``ring`` and the names, then one binomial per line.
+
+    ``names`` are the variables of the tuples' order.  A monomial prints as
+    its variables joined by ``*``, ``^e`` after those with exponent e > 1
+    and none for exponent 0; the empty product prints as ``1``.
+    """
+
+    def monomial(exps: Mono) -> str:
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, exps) if e) or "1"
+
+    lines = ["ring " + " ".join(names)]
+    lines += [f"{monomial(plus)} - {monomial(minus)}" for plus, minus in binomials]
     return "\n".join(lines) + "\n"

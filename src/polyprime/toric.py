@@ -2,8 +2,8 @@
 
 Everything runs over arbitrary-precision integers.  Monomials are exponent
 tuples over a fixed variable order, and the Groebner functions take and
-return nothing else; variable names are attached at export
-(:func:`polyprime.ideals.named_binomials`) and in verdict notes.  Inside
+return nothing else; a list of variable names is passed in only where a
+budget stop or a failed check must name a variable.  Inside
 the Groebner core the tuples are packed into single big integers (one bit
 field per variable plus a guard bit) so that divisibility, multiplication,
 order comparison and the total degree (one multiplication that adds every
@@ -26,7 +26,6 @@ and as a test oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -40,18 +39,16 @@ from .classify import (
     find_l_configurations,
     find_ladders,
 )
-from .grid import Polyomino, is_simple
+from .grid import Polyomino, cell_vertices, is_simple
 from .ideals import (
     ExponentBinomial,
     Mono,
     ToricMap,
-    Var,
     check_containment,
-    format_var,
-    minor_exponents,
-    toric_map_ladder,
-    toric_map_lconfig,
+    inner_minors,
+    ladder_marked_set,
     toric_map_marked,
+    vertex_name,
     vertex_symmetries,
 )
 from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag
@@ -247,13 +244,6 @@ def _pk_tail_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Pac
                 changed = True
                 break
     return (dl, lead, dt, tail)
-
-
-def _pk_full_reduce(ring: _PackedRing, f: _Packed, basis: list[_Packed]) -> _Packed | None:
-    reduced = _pk_head_reduce(ring, f, basis)
-    if reduced is None:
-        return None
-    return _pk_tail_reduce(ring, reduced, basis)
 
 
 def _pk_interreduce(ring: _PackedRing, basis: list[_Packed]) -> list[_Packed]:
@@ -555,14 +545,14 @@ def lattice_ideal_engine(basis_vectors: Iterable[Sequence[int]]) -> list[Exponen
 
 
 def toric_ideal(matrix: Sequence[Sequence[int]], budget: Budget = UNLIMITED,
-                variables: Sequence[Var] = ()) -> list[ExponentBinomial]:
+                names: Sequence[str] = ()) -> list[ExponentBinomial]:
     """Reduced degrevlex basis of the kernel ideal of the monomial map ``matrix``.
 
     Exponent tuples over the matrix columns.  The lattice-basis ideal of
     ``integer_kernel(matrix)`` is saturated by each variable in turn, then
     reduced.  One clock from ``budget`` caps the n saturations and the
     final run together; on exhaustion the exception's ``phase`` names the
-    saturation variable (by ``variables``, the column names, when given)
+    saturation variable (by ``names``, the column names, when given)
     or the final run.  Post-checks: a reduced basis of a saturated ideal
     has coprime halves, and every element lies in the kernel of the map.
     """
@@ -576,7 +566,7 @@ def toric_ideal(matrix: Sequence[Sequence[int]], budget: Budget = UNLIMITED,
         try:
             gens = saturate_engine(gens, var_index, clock)
         except BudgetExhausted as exc:
-            name = format_var(variables[var_index]) if variables else f"column {var_index}"
+            name = names[var_index] if names else f"column {var_index}"
             exc.phase = f"saturation, {name}"
             raise
     try:
@@ -591,49 +581,6 @@ def toric_ideal(matrix: Sequence[Sequence[int]], budget: Budget = UNLIMITED,
             if sum(r * e for r, e in zip(row, lead)) != sum(r * e for r, e in zip(row, tail)):
                 raise CounterexampleFound("basis element outside the map kernel")
     return reduced
-
-
-def kernel_complete_up_to_degree(matrix: Sequence[Sequence[int]],
-                                 basis: Sequence[ExponentBinomial], degree: int) -> bool:
-    """Brute-force oracle: map-equal monomial pairs must share normal forms.
-
-    Enumerates every monomial of total degree <= ``degree``, groups them by
-    image under the matrix, and checks that the reduced degrevlex basis
-    rewrites all members of a group to one normal form.
-    """
-    n = len(matrix[0])
-    ring = _PackedRing(n, n - 1)
-    engine = [
-        (sum(lead), ring.pack(lead), sum(tail), ring.pack(tail)) for lead, tail in basis
-    ]
-
-    def normal_form(packed: int, deg: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            for g_dl, g_lead, g_dt, g_tail in engine:
-                if g_dl <= deg and ring.divides(g_lead, packed):
-                    packed = packed - g_lead + g_tail
-                    deg = deg - g_dl + g_dt
-                    changed = True
-                    break
-        return packed
-
-    groups: dict[tuple[int, ...], int] = {}
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            mono = [0] * n
-            for i in combo:
-                mono[i] += 1
-            mono_t = tuple(mono)
-            image = tuple(sum(r * e for r, e in zip(row, mono_t)) for row in matrix)
-            nf = normal_form(ring.pack(mono_t), total)
-            if image in groups:
-                if groups[image] != nf:
-                    return False
-            else:
-                groups[image] = nf
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +616,7 @@ class PrimalityVerdict:
         }
 
 
-def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
+def check_saturated(gens: Sequence[ExponentBinomial], names: Sequence[str],
                     budget: Budget = UNLIMITED,
                     symmetries: Sequence[Sequence[int]] = ()) -> None:
     """Raise unless the homogeneous binomial ideal is saturated in every variable.
@@ -690,21 +637,22 @@ def check_saturated(gens: Sequence[ExponentBinomial], ring: tuple[Var, ...],
     is made on the orbit's least index, orbits in index order.  A wrong
     candidate is discarded, so it can cost time but never weaken the check.
 
-    The budget caps the runs together: they share one clock.  On budget
-    exhaustion the exception's ``phase`` names the variable.
+    The budget caps the runs together: they share one clock.  ``names``
+    are the variables' print names: on budget exhaustion the exception's
+    ``phase`` names the variable, and so does a failed check.
     """
     for lead, tail in gens:
         if sum(lead) != sum(tail):
             raise ValueError("the saturation check requires standard-graded binomials")
     clock = budget.start()
-    for i in _orbit_representatives(gens, len(ring), symmetries):
+    for i in _orbit_representatives(gens, len(names), symmetries):
         try:
             basis = buchberger_engine(gens, i, clock)
         except BudgetExhausted as exc:
-            exc.phase = f"saturation check, {format_var(ring[i])}"
+            exc.phase = f"saturation check, {names[i]}"
             raise
         if any(lead[i] for lead, _ in basis):
-            raise CounterexampleFound(f"generator ideal is not saturated in {format_var(ring[i])}")
+            raise CounterexampleFound(f"generator ideal is not saturated in {names[i]}")
 
 
 def _orbit_representatives(gens: Sequence[ExponentBinomial], n: int,
@@ -744,7 +692,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], phi: ToricMap,
                      symmetries: Sequence[Sequence[int]] = ()) -> tuple[str, tuple[str, ...]]:
     """Prove I_P = ker(phi) from the inner minors, given containment.
 
-    ``minors`` are the exponent tuples of :func:`minor_exponents`; the
+    ``minors`` are the exponent tuples of :func:`inner_minors`; the
     columns of phi's exponent matrix A follow the same vertex order.  Let
     L be the integer span of the minors' exponent vectors; containment
     gives L inside ker_Z(A).
@@ -765,7 +713,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], phi: ToricMap,
     each Groebner run in it; exhaustion downgrades to containment-only,
     with a note naming the phase and the variable.
     """
-    kernel_rank = len(phi.column_variables) - len(_column_reduce([list(r) for r in phi.entries]))
+    kernel_rank = len(phi.columns) - len(_column_reduce([list(r) for r in phi.entries]))
     rank, index = lattice_rank_and_index(
         [tuple(a - b for a, b in zip(plus, minus)) for plus, minus in minors]
     )
@@ -776,7 +724,7 @@ def attempt_equality(minors: Sequence[ExponentBinomial], phi: ToricMap,
     if index != 1:
         raise CounterexampleFound(f"minor lattice has index {index} in its saturation")
     try:
-        check_saturated(minors, phi.column_variables, budget, symmetries)
+        check_saturated(minors, [vertex_name(v) for v in phi.columns], budget, symmetries)
     except BudgetExhausted as exc:
         return EQUALITY_CONTAINMENT, (f"budget exhausted: {exc.reason} ({exc.phase})",)
     return EQUALITY_FULL, ()
@@ -789,7 +737,7 @@ def prove_prime(p: Polyomino, phi: ToricMap, proof: str, budget: Budget) -> Prim
     once; :func:`check_containment` and then :func:`attempt_equality` read
     them with phi's exponent matrix.
     """
-    minors = minor_exponents(p)
+    minors = inner_minors(p)
     if not check_containment(minors, phi):
         raise CounterexampleFound(f"{proof} map fails to kill an inner minor")
     equality, notes = attempt_equality(minors, phi, budget, vertex_symmetries(p))
@@ -823,14 +771,17 @@ def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None
     ``witness``, ``lconfigs`` and ``ladders`` must be what
     ``find_zigzag_walk(p)``, ``find_l_configurations(p)`` and
     ``find_ladders(p, min_steps=3)`` return, so a sweep that already ran
-    them does not run them again.  ``p`` must be a closed path.
+    them does not run them again, and the map is built from the chosen
+    feature without validating it anew.  That costs no soundness:
+    :func:`prove_prime` proves containment and I_P = ker(phi) for
+    whichever map it is given.  ``p`` must be a closed path.
     """
     if witness is not None:
         if not verify_zigzag(p, witness):
             raise CounterexampleFound("zig-zag search returned an invalid witness")
         return PrimalityVerdict("nonprime", witness=witness)
     if lconfigs:
-        phi = toric_map_lconfig(p, lconfigs[0])
+        phi = toric_map_marked(p, cell_vertices(lconfigs[0].corner_cell))
         proof = PROOF_LCONFIG
     else:
         if not ladders:
@@ -840,7 +791,7 @@ def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None
         phi = None
         for ladder in ladders:
             try:
-                phi = toric_map_ladder(p, ladder)
+                phi = toric_map_marked(p, ladder_marked_set(ladder, p.cells))
                 break
             except ValueError:
                 continue

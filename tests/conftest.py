@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import itertools
 from heapq import heappush
+from typing import Iterator
 
 import pytest
 
 from polyprime.classify import OpenPath, trimino_certificate
-from polyprime.families import build_psc, build_rectangle_linked
+from polyprime.families import build_psc, build_rectangle_linked, canonical_form
 from polyprime.grid import Polyomino
-from polyprime.ideals import check_containment, minor_exponents
+from polyprime.ideals import check_containment, inner_minors
 from polyprime.toric import (
     UNLIMITED,
     _FIELD_BITS,
-    _pk_full_reduce,
+    _PackedRing,
+    _pk_head_reduce,
+    _pk_tail_reduce,
     buchberger_engine,
     saturate_engine,
 )
@@ -73,7 +77,7 @@ def rectangle(w: int, h: int) -> Polyomino:
 
 def kills_minors(shape: Polyomino, phi) -> bool:
     """Containment of every inner minor of ``shape`` in ker(phi)."""
-    return check_containment(minor_exponents(shape), phi)
+    return check_containment(inner_minors(shape), phi)
 
 
 def saturate_reduced(gens, var_index: int):
@@ -93,6 +97,76 @@ def unsaturated_variables(gens) -> list[int]:
         i for i in range(len(gens[0][0]))
         if any(lead[i] for lead, _ in buchberger_engine(gens, i, clock))
     ]
+
+
+def pk_full_reduce(ring, f, basis):
+    """Head then tail reduction of a packed binomial; None when it reduces to zero."""
+    reduced = _pk_head_reduce(ring, f, basis)
+    if reduced is None:
+        return None
+    return _pk_tail_reduce(ring, reduced, basis)
+
+
+def kernel_complete_up_to_degree(matrix, basis, degree: int) -> bool:
+    """Brute-force oracle: map-equal monomial pairs must share normal forms.
+
+    Enumerates every monomial of total degree <= ``degree``, groups them by
+    image under the matrix, and checks that the reduced degrevlex basis
+    rewrites all members of a group to one normal form.
+    """
+    n = len(matrix[0])
+    ring = _PackedRing(n, n - 1)
+    engine = [
+        (sum(lead), ring.pack(lead), sum(tail), ring.pack(tail)) for lead, tail in basis
+    ]
+
+    def normal_form(packed: int, deg: int) -> int:
+        changed = True
+        while changed:
+            changed = False
+            for g_dl, g_lead, g_dt, g_tail in engine:
+                if g_dl <= deg and ring.divides(g_lead, packed):
+                    packed = packed - g_lead + g_tail
+                    deg = deg - g_dl + g_dt
+                    changed = True
+                    break
+        return packed
+
+    groups: dict[tuple[int, ...], int] = {}
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n), total):
+            mono = [0] * n
+            for i in combo:
+                mono[i] += 1
+            mono_t = tuple(mono)
+            image = tuple(sum(r * e for r, e in zip(row, mono_t)) for row in matrix)
+            nf = normal_form(ring.pack(mono_t), total)
+            if image in groups:
+                if groups[image] != nf:
+                    return False
+            else:
+                groups[image] = nf
+    return True
+
+
+def all_polyominoes(max_rank: int) -> Iterator[Polyomino]:
+    """Naive free-polyomino enumeration (oracle for enumeration completeness)."""
+    frontier: set[tuple] = {((0, 0),)}
+    yield Polyomino.from_cells(((0, 0),))
+    rank = 1
+    while rank < max_rank:
+        grown: set[tuple] = set()
+        for form in frontier:
+            cellset = set(form)
+            for x, y in form:
+                for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+                    if nxt in cellset:
+                        continue
+                    grown.add(canonical_form(Polyomino.from_cells(cellset | {nxt})).cells)
+        frontier = grown
+        rank += 1
+        for form in sorted(frontier):
+            yield Polyomino.from_cells(form)
 
 
 def _loop_degree(ring, packed: int) -> int:
@@ -142,7 +216,7 @@ def reference_interreduce(ring, basis):
         minimal.append(g)
     result = []
     for i, g in enumerate(minimal):
-        reduced = _pk_full_reduce(ring, g, minimal[:i] + minimal[i + 1:])
+        reduced = pk_full_reduce(ring, g, minimal[:i] + minimal[i + 1:])
         if reduced is not None:
             result.append(reduced)
     result.sort(key=lambda g: (g[0], -g[1], g[2], -g[3]))

@@ -150,6 +150,25 @@ def test_verify_parallel_jobs(capsys):
     assert summary["shapes"] == 5
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_job(jobs, capsys):
+    assert main(["verify", "--max-rank", "8", "--no-certify", "--jobs", jobs]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("command,written", [
+    ("classify", "the indented JSON payload"),
+    ("ideal", "the exported text"),
+    ("verify", "the JSON-lines report"),
+])
+def test_output_help_names_what_is_written(command, written, capsys):
+    assert _exit_code([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--output OUTPUT also write {written}" in help_text
+
+
 def test_verify_report_output(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     assert main([

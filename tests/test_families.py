@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from polyprime.classify import OpenPath, closed_path_certificate, trimino_certificate
 from polyprime.families import (
     ConditionViolated,
-    all_polyominoes,
     build_psc,
     build_rectangle_linked,
     canonical_form,
@@ -30,7 +29,7 @@ from polyprime.grid import (
 from polyprime.ideals import toric_map_marked
 from polyprime.toric import Budget
 
-from conftest import kills_minors, psc_parts, rectangle
+from conftest import all_polyominoes, kills_minors, psc_parts, rectangle
 
 
 # --- canonical forms ---------------------------------------------------------
@@ -370,20 +369,40 @@ def test_verify_main_theorem_rank18_structural():
     assert summary["minimal_zigzag_rank"] == 16
 
 
-def test_examine_shape_scans_once(monkeypatch, frame3):
-    from polyprime import families, toric
+def _scan_calls(monkeypatch, shape) -> tuple[str, list[str]]:
+    """(proof, scan calls) of certifying one shape through examine_shape.
+
+    Every module that imports a scan is patched, ideals included: building
+    the certifying map must not run the scan again to validate its feature.
+    Only the scans are counted; the proof itself is stubbed out.
+    """
+    from polyprime import families, ideals, toric
 
     calls = []
-    for module in (families, toric):
-        for name in ("find_zigzag_walk", "find_l_configurations", "find_ladders"):
-            original = getattr(module, name)
+    for module in (families, ideals, toric):
+        for scan in ("find_zigzag_walk", "find_l_configurations", "find_ladders"):
+            original = getattr(module, scan, None)
+            if original is None:
+                continue
             monkeypatch.setattr(
-                module, name,
-                lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw),
+                module, scan,
+                lambda *args, _f=original, _n=scan, **kw: calls.append(_n) or _f(*args, **kw),
             )
-    record = examine_shape(tuple(sorted(frame3.cells)), Budget(), certify=True)
-    assert record.verdict["kind"] == "prime"
-    assert sorted(calls) == ["find_l_configurations", "find_ladders", "find_zigzag_walk"]
+    monkeypatch.setattr(toric, "prove_prime",
+                        lambda p, phi, proof, budget: toric.PrimalityVerdict("prime", proof))
+    record = examine_shape(tuple(sorted(shape.cells)), Budget(), certify=True)
+    return record.verdict["proof"], sorted(calls)
+
+
+SCANS = ["find_l_configurations", "find_ladders", "find_zigzag_walk"]
+
+
+def test_examine_shape_scans_once(monkeypatch, frame3):
+    assert _scan_calls(monkeypatch, frame3) == ("lconfig-toric", SCANS)
+
+
+def test_examine_shape_scans_a_ladder_shape_once(monkeypatch, ring22):
+    assert _scan_calls(monkeypatch, ring22) == ("ladder-toric", SCANS)
 
 
 def test_verify_main_theorem_rank12_certified():

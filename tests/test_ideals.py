@@ -5,38 +5,30 @@ import hashlib
 import pytest
 
 from polyprime.classify import find_l_configurations, find_ladders
-from polyprime.grid import Polyomino, TRANSFORM_NAMES, cell_vertices, transform_point, transform_polyomino, vertices
+from polyprime.grid import (
+    HORIZONTAL,
+    VERTICAL,
+    Polyomino,
+    TRANSFORM_NAMES,
+    cell_vertices,
+    maximal_edge_intervals,
+    transform_point,
+    transform_polyomino,
+    vertices,
+)
 from polyprime.ideals import (
-    Monomial,
-    W,
     export_generators,
     inner_minors,
     ladder_marked_set,
-    minor_exponents,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
-    vertex_ring,
+    vertex_name,
+    vertex_order,
     vertex_symmetries,
-    vertex_var,
 )
 
 from conftest import kills_minors, rectangle
-
-
-# --- monomial algebra -------------------------------------------------------
-
-def test_monomial_basics():
-    m = Monomial.from_dict({("a",): 2, ("b",): 1})
-    assert m.degree == 3
-    assert str(m) == "a^2*b"
-    assert Monomial.one().degree == 0
-    with pytest.raises(ValueError):
-        Monomial.from_dict({("a",): -1})
-
-
-def test_monomial_drops_zero_exponents():
-    assert Monomial.from_dict({("a",): 0}) == Monomial.one()
 
 
 # --- inner minors -----------------------------------------------------------
@@ -57,7 +49,7 @@ def _unordered_minors(shape, perm=None):
             out[perm[i]] = e
         return tuple(out)
 
-    return {frozenset((image(a), image(b))) for a, b in minor_exponents(shape)}
+    return {frozenset((image(a), image(b))) for a, b in inner_minors(shape)}
 
 
 def test_vertex_symmetries_of_frame3_fix_its_minors(frame3):
@@ -81,50 +73,64 @@ def test_inner_minors_counts(frame3):
 
 def test_inner_minor_single_cell():
     single = Polyomino.from_cells([(0, 0)])
-    (minor,) = inner_minors(single)
-    assert minor.plus == Monomial.from_dict({vertex_var((0, 0)): 1, vertex_var((1, 1)): 1})
-    assert minor.minus == Monomial.from_dict({vertex_var((0, 1)): 1, vertex_var((1, 0)): 1})
-    # Vertex order (0,0) (0,1) (1,0) (1,1): the diagonal is columns 0 and 3.
-    assert minor_exponents(single) == [((1, 0, 0, 1), (0, 1, 1, 0))]
+    assert vertex_order(single) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    # The diagonal (0,0) (1,1) is columns 0 and 3.
+    assert inner_minors(single) == [((1, 0, 0, 1), (0, 1, 1, 0))]
 
 
 # --- toric maps -------------------------------------------------------------
 
 def _column(phi, point):
-    """The exponent vector of phi(x_point): one column of the map's matrix."""
-    r = phi.column_variables.index(vertex_var(point))
-    return {t: row[r] for t, row in zip(phi.target_variables, phi.entries) if row[r]}
+    """The exponent vector of phi(x_point), as {row: exponent}: one column of A."""
+    r = phi.columns.index(point)
+    return {k: row[r] for k, row in enumerate(phi.entries) if row[r]}
+
+
+def _interval_counts(p):
+    return len(maximal_edge_intervals(p, VERTICAL)), len(maximal_edge_intervals(p, HORIZONTAL))
 
 
 def test_lconfig_map_frame3(frame3):
-    from polyprime.grid import HORIZONTAL, VERTICAL, maximal_edge_intervals
-
     lconf = next(l for l in find_l_configurations(frame3) if l.corner_cell == (0, 0))
     phi = toric_map_lconfig(frame3, lconf)
     assert phi.marked == set(cell_vertices((0, 0)))
-    assert len(phi.target_variables) == 9  # 4 vertical + 4 horizontal + w
+    assert _interval_counts(frame3) == (4, 4)
+    assert len(phi.entries) == 9  # 4 vertical + 4 horizontal + w
     image = _column(phi, (1, 1))
     assert sum(image.values()) == 3
-    # (1,1) lies on the x=1 vertical and y=1 horizontal maximal intervals.
+    # (1,1) lies on the x=1 vertical and y=1 horizontal maximal intervals;
+    # the horizontal rows follow the 4 vertical ones, and w is the last row.
     v_idx = next(
         i for i, iv in enumerate(maximal_edge_intervals(frame3, VERTICAL)) if iv.line == 1
     )
     h_idx = next(
         j for j, ih in enumerate(maximal_edge_intervals(frame3, HORIZONTAL)) if ih.line == 1
     )
-    assert image == {("v", v_idx): 1, ("h", h_idx): 1, W: 1}
+    assert image == {v_idx: 1, 4 + h_idx: 1, 8: 1}
 
 
 def test_unmarked_vertex_images_have_degree_two(frame3):
     phi = toric_map_marked(frame3, ())
-    assert phi.column_variables == vertex_ring(frame3)
+    assert phi.columns == vertex_order(frame3) == tuple(sorted(vertices(frame3)))
     assert all(sum(column) == 2 for column in zip(*phi.entries))
-    assert W not in phi.target_variables
+    assert len(phi.entries) == sum(_interval_counts(frame3))  # no w row
 
 
-# sha256 of the maps below as (column_variables, target_variables, entries,
-# sorted marked set), computed from the two-step construction this matrix
-# form replaced (a named monomial per vertex, then its exponent matrix).
+def _named_key(p, phi):
+    """The map as (column_variables, target_variables, entries, sorted marked
+    set) in the variable identifiers of the named form it replaced: ("x",
+    point) per column, ("v", i), ("h", j) and ("w",) per row."""
+    n_vertical, n_horizontal = _interval_counts(p)
+    target = [("v", i) for i in range(n_vertical)] + [("h", j) for j in range(n_horizontal)]
+    if phi.marked:
+        target.append(("w",))
+    return (tuple(("x", v) for v in phi.columns), tuple(target), phi.entries,
+            tuple(sorted(phi.marked)))
+
+
+# sha256 of the maps below as their _named_key, computed from the two-step
+# construction the matrix form replaced (a named monomial per vertex, then
+# its exponent matrix).
 MAP_DIGEST = "a86ac21ec08ce3439cb716a051b2011abe407007010af8fb065c1c099fbd0c29"
 
 
@@ -137,18 +143,17 @@ def test_map_matrices_match_recorded_digest(monkeypatch, frame3):
     maps = []
 
     def record(p, phi, proof, budget):
-        maps.append(phi)
+        maps.append((p, phi))
         return toric.PrimalityVerdict("prime", proof, "full")
 
     monkeypatch.delenv("POLYPRIME_CACHE", raising=False)
     monkeypatch.setattr(toric, "prove_prime", record)
     verify_main_theorem(16)
     # The two markings of `polyprime ideal --toric` on frame3.
-    maps += [toric_map_marked(frame3, ()),
-             toric_map_lconfig(frame3, find_l_configurations(frame3)[0])]
+    maps += [(frame3, toric_map_marked(frame3, ())),
+             (frame3, toric_map_lconfig(frame3, find_l_configurations(frame3)[0]))]
     assert len(maps) == 36
-    key = [(phi.column_variables, phi.target_variables, phi.entries, tuple(sorted(phi.marked)))
-           for phi in maps]
+    key = [_named_key(p, phi) for p, phi in maps]
     assert hashlib.sha256(repr(key).encode()).hexdigest() == MAP_DIGEST
 
 
@@ -224,20 +229,30 @@ def test_ladder_marked_set_equivariance(name, ring22):
 
 # --- export -----------------------------------------------------------------
 
+def _names(shape):
+    return [vertex_name(v) for v in vertex_order(shape)]
+
+
+def test_vertex_name():
+    assert vertex_name((1, 0)) == "x_1_0"
+    assert vertex_name((-1, -12)) == "x_m1_m12"
+
+
 def test_export_generators_format():
     single = Polyomino.from_cells([(0, 0)])
-    phi = toric_map_marked(single, ())
-    text = export_generators(
-        tuple(vertex_var(v) for v in sorted(vertices(single))), inner_minors(single)
-    )
-    lines = text.strip().splitlines()
-    assert lines[0] == "ring x_0_0 x_0_1 x_1_0 x_1_1"
-    assert lines[1] == "x_0_0*x_1_1 - x_0_1*x_1_0"
+    text = export_generators(_names(single), inner_minors(single))
+    assert text == "ring x_0_0 x_0_1 x_1_0 x_1_1\nx_0_0*x_1_1 - x_0_1*x_1_0\n"
+
+
+def test_export_prints_powers_and_drops_zero_exponents():
+    # The twisted cubic's first kernel element, and a pure power against 1.
+    text = export_generators(["a", "b", "c", "d"], [((0, 2, 0, 0), (1, 0, 1, 0)),
+                                                    ((0, 0, 0, 3), (0, 0, 0, 0))])
+    assert text.splitlines() == ["ring a b c d", "b^2 - a*c", "d^3 - 1"]
 
 
 def test_export_negative_coordinates():
     shape = Polyomino.from_cells([(-1, -1)])
-    text = export_generators(
-        tuple(vertex_var(v) for v in sorted(vertices(shape))), inner_minors(shape)
-    )
-    assert "x_m1_m1" in text
+    text = export_generators(_names(shape), inner_minors(shape))
+    assert text.splitlines() == ["ring x_m1_m1 x_m1_0 x_0_m1 x_0_0",
+                                 "x_m1_m1*x_0_0 - x_m1_0*x_0_m1"]

@@ -7,12 +7,12 @@ from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.grid import Polyomino
 from polyprime.ideals import (
     check_containment,
-    format_var,
-    minor_exponents,
+    inner_minors,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
-    vertex_ring,
+    vertex_name,
+    vertex_order,
     vertex_symmetries,
 )
 from polyprime.toric import (
@@ -27,7 +27,6 @@ from polyprime.toric import (
     certify_primality,
     check_saturated,
     integer_kernel,
-    kernel_complete_up_to_degree,
     lattice_ideal_engine,
     lattice_rank_and_index,
     saturate_engine,
@@ -36,7 +35,9 @@ from polyprime.toric import (
 
 from conftest import (
     TWISTED_CUBIC,
+    kernel_complete_up_to_degree,
     kills_minors,
+    pk_full_reduce,
     rectangle,
     reference_gm_update,
     reference_interreduce,
@@ -181,20 +182,20 @@ def test_buchberger_twisted_cubic_reduced_basis():
 
 def test_buchberger_square_kills_degree4_kernel():
     square = rectangle(2, 2)
-    gb = buchberger(minor_exponents(square))
+    gb = buchberger(inner_minors(square))
     phi = toric_map_marked(square, ())
     assert kernel_complete_up_to_degree(phi.entries, gb, 4)
 
 
 def test_buchberger_determinism(frame3):
-    first = buchberger(minor_exponents(frame3))
-    second = buchberger(list(reversed(minor_exponents(frame3))))
+    first = buchberger(inner_minors(frame3))
+    second = buchberger(list(reversed(inner_minors(frame3))))
     assert first == second
 
 
 def test_budget_pair_cap(frame3):
     with pytest.raises(BudgetExhausted) as err:
-        buchberger(minor_exponents(frame3), Budget(max_pairs=3))
+        buchberger(inner_minors(frame3), Budget(max_pairs=3))
     assert err.value.pairs == 4
     assert err.value.basis_size is not None and err.value.basis_size >= 20
 
@@ -301,38 +302,40 @@ def test_saturate_idempotent():
 
 
 def test_saturation_check_rejects_common_factor():
-    ring = (("x",), ("y",), ("z",))
+    names = ("x", "y", "z")
     xy_minus_xz = [((1, 1, 0), (1, 0, 1))]
     with pytest.raises(CounterexampleFound, match="not saturated in x"):
-        check_saturated(xy_minus_xz, ring)
-    check_saturated([((0, 1, 0), (0, 0, 1))], ring)
+        check_saturated(xy_minus_xz, names)
+    check_saturated([((0, 1, 0), (0, 0, 1))], names)
 
 
 def test_saturation_check_discards_a_forged_symmetry():
     # Swapping x and y sends x*y - x*z to x*y - y*z, so the swap does not
     # fix the generator set and must not merge the orbits of x and y.
     swap_xy = (1, 0, 2)
-    ring = (("x",), ("y",), ("z",))
+    names = ("x", "y", "z")
     with pytest.raises(CounterexampleFound, match="not saturated in x"):
-        check_saturated([((1, 1, 0), (1, 0, 1))], ring, symmetries=[swap_xy])
+        check_saturated([((1, 1, 0), (1, 0, 1))], names, symmetries=[swap_xy])
     # With y first, merging would leave y to stand for x, and y is saturated.
-    ring = (("y",), ("x",), ("z",))
+    names = ("y", "x", "z")
     y_x_minus_x_z = [((1, 1, 0), (0, 1, 1))]
     assert unsaturated_variables(y_x_minus_x_z) == [1]
     with pytest.raises(CounterexampleFound, match="not saturated in x"):
-        check_saturated(y_x_minus_x_z, ring, symmetries=[swap_xy])
+        check_saturated(y_x_minus_x_z, names, symmetries=[swap_xy])
 
 
 def _assert_orbit_check_agrees(shape):
-    minors = minor_exponents(shape)
-    ring = vertex_ring(shape)
+    minors = inner_minors(shape)
+    order = vertex_order(shape)
+    names = [vertex_name(v) for v in order]
     unsaturated = unsaturated_variables(minors)
     if not unsaturated:
-        check_saturated(minors, ring, symmetries=vertex_symmetries(shape))
+        check_saturated(minors, names, symmetries=vertex_symmetries(shape))
         return
     with pytest.raises(CounterexampleFound) as err:
-        check_saturated(minors, ring, symmetries=vertex_symmetries(shape))
-    assert str(err.value).endswith(f"not saturated in {format_var(ring[unsaturated[0]])}")
+        check_saturated(minors, names, symmetries=vertex_symmetries(shape))
+    x, y = order[unsaturated[0]]
+    assert str(err.value).endswith(f"not saturated in x_{x}_{y}")
 
 
 def test_orbit_saturation_check_agrees_with_every_variable_oracle(good_l_instance):
@@ -348,7 +351,7 @@ def test_orbit_saturation_check_agrees_with_every_variable_oracle(good_l_instanc
 def test_orbit_saturation_check_agrees_on_an_unsaturated_shape(diamond16):
     # diamond16 has a zig-zag walk and its minor ideal is not saturated in
     # 16 of its 32 variables; the orbit check must still find the first.
-    minors = minor_exponents(diamond16)
+    minors = inner_minors(diamond16)
     unsaturated = set(unsaturated_variables(minors))
     assert len(unsaturated) == 16
     for perm in vertex_symmetries(diamond16):
@@ -387,7 +390,7 @@ def _assert_kernel_route_agrees(shape, phi):
     # The product proves equality by the lattice and saturation checks; the
     # kernel route rebuilds ker(phi) by saturating a lattice-basis ideal.
     # Both must describe the same ideal.
-    minors = minor_exponents(shape)
+    minors = inner_minors(shape)
     assert check_containment(minors, phi)
     assert attempt_equality(minors, phi, Budget()) == ("full", ())
     assert buchberger(minors) == toric_ideal(phi.entries)
@@ -397,7 +400,7 @@ def test_toric_ideal_single_cell():
     single = Polyomino.from_cells([(0, 0)])
     gb = toric_ideal(toric_map_marked(single, ()).entries)
     assert len(gb) == 1
-    assert set(gb) == set(buchberger(minor_exponents(single)))
+    assert set(gb) == set(buchberger(inner_minors(single)))
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3), (1, 3)])
@@ -442,18 +445,29 @@ def test_kernel_route_oracle_rank12_prime_shapes():
 def test_attempt_equality_rejects_unmarked_map_on_diamond(diamond16):
     # The unmarked edge map kills every inner minor of diamond16, but its
     # kernel is strictly larger than the (non-prime) minor ideal.
-    minors = minor_exponents(diamond16)
+    minors = inner_minors(diamond16)
     phi = toric_map_marked(diamond16, ())
     assert check_containment(minors, phi)
     with pytest.raises(CounterexampleFound, match="minor lattice"):
         attempt_equality(minors, phi, Budget())
 
 
-def test_budget_stop_names_saturation_phase(frame3):
-    verdict = certify_primality(frame3, Budget(max_pairs=3))
+def _budget_stop_note(shape) -> str:
+    verdict = certify_primality(shape, Budget(max_pairs=3))
     assert verdict.kind == "prime" and verdict.equality == "containment-only"
-    first = format_var(vertex_ring(frame3)[0])
-    assert verdict.notes == (f"budget exhausted: pair cap (saturation check, {first})",)
+    (note,) = verdict.notes
+    return note
+
+
+def test_budget_stop_names_saturation_phase(frame3):
+    assert vertex_order(frame3)[0] == (0, 0)
+    assert _budget_stop_note(frame3) == "budget exhausted: pair cap (saturation check, x_0_0)"
+
+
+def test_budget_stop_names_a_vertex_with_negative_coordinates(frame3):
+    shape = frame3.translate(-1, -2)
+    assert vertex_order(shape)[0] == (-1, -2)
+    assert _budget_stop_note(shape) == "budget exhausted: pair cap (saturation check, x_m1_m2)"
 
 
 def test_budget_caps_the_whole_saturation_check(frame3):
@@ -603,7 +617,7 @@ def test_certify_rank20_ladder_shapes(cells):
 
 def test_certify_verdict_invariant_across_lconfig_choice(frame3):
     # The pipeline picks the first L-configuration; any choice must certify.
-    minors = minor_exponents(frame3)
+    minors = inner_minors(frame3)
     for lconf in find_l_configurations(frame3):
         gb = toric_ideal(toric_map_lconfig(frame3, lconf).entries)
         assert buchberger(gb) == buchberger(minors)
@@ -649,7 +663,7 @@ def test_rank14_sweep_full_equality():
 def test_buchberger_output_is_a_groebner_basis(raw):
     # Definitional oracle: every S-binomial of the output reduces to zero,
     # and every input generator rewrites to zero.
-    from polyprime.toric import _PackedRing, _pk_full_reduce, _pk_normalize
+    from polyprime.toric import _PackedRing, _pk_normalize
 
     gens = [(tuple(a), tuple(b)) for a, b in raw if tuple(a) != tuple(b)]
     if not gens:
@@ -661,7 +675,7 @@ def test_buchberger_output_is_a_groebner_basis(raw):
     ]
     for lead, tail in gens:
         f = _pk_normalize(ring, sum(lead), ring.pack(lead), sum(tail), ring.pack(tail))
-        assert f is None or _pk_full_reduce(ring, f, packed) is None
+        assert f is None or pk_full_reduce(ring, f, packed) is None
     for i in range(len(packed)):
         for j in range(i):
             gi, gj = packed[i], packed[j]
@@ -672,7 +686,7 @@ def test_buchberger_output_is_a_groebner_basis(raw):
                 deg - gi[0] + gi[2], lcm - gi[1] + gi[3],
                 deg - gj[0] + gj[2], lcm - gj[1] + gj[3],
             )
-            assert s is None or _pk_full_reduce(ring, s, packed) is None
+            assert s is None or pk_full_reduce(ring, s, packed) is None
 
 
 def test_verdict_kind_invariant_under_symmetry(diamond16, frame3):
