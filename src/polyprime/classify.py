@@ -228,51 +228,48 @@ def find_ladders(p: Polyomino, min_steps: int = 2) -> list[Ladder]:
                 if c is not None:
                     contact[i][j] = c
                     contact[j][i] = c
-
-        def chain_contacts(chain: list[int]) -> list[tuple[Point, Point]]:
-            return [contact[a][b] for a, b in zip(chain, chain[1:])]
-
-        def can_append(chain: list[int], nxt: int) -> bool:
-            if nxt in chain or nxt not in contact[chain[-1]]:
-                return False
-            if len(chain) >= 2:
-                c_prev = contact[chain[-2]][chain[-1]]
-                c_new = contact[chain[-1]][nxt]
-                if _contacts_on_common_interval(p, c_prev, c_new, orientation):
-                    return False
-            return True
-
         seen: set[tuple[int, ...]] = set()
-
-        def extend(chain: list[int]) -> None:
-            grew = False
-            for nxt in sorted(contact[chain[-1]]):
-                if can_append(chain, nxt):
-                    extend(chain + [nxt])
-                    grew = True
-            head = list(reversed(chain))
-            for nxt in sorted(contact[head[-1]]):
-                if can_append(head, nxt):
-                    grew = True
-                    break
-            if grew:
-                return
+        # Depth-first over chains on an explicit stack, children pushed in
+        # reverse so they are visited in sorted order.  A recursive closure
+        # would be a reference cycle holding these tables until a full
+        # garbage collection.
+        stack = [[i] for i in reversed(range(len(blocks)))]
+        while stack:
+            chain = stack.pop()
+            longer = [chain + [nxt] for nxt in sorted(contact[chain[-1]])
+                      if _can_append(p, orientation, contact, chain, nxt)]
+            if longer:
+                stack.extend(reversed(longer))
+                continue
+            head = chain[::-1]
+            if any(_can_append(p, orientation, contact, head, nxt)
+                   for nxt in sorted(contact[head[-1]])):
+                continue
             # Maximal in both directions: record once, canonical direction.
             if len(chain) < min_steps:
-                return
-            ordered = chain if blocks[chain[0]] <= blocks[chain[-1]] else list(reversed(chain))
+                continue
+            ordered = chain if blocks[chain[0]] <= blocks[chain[-1]] else head
             key = tuple(ordered)
             if key in seen:
-                return
+                continue
             seen.add(key)
-            ladders.append(
-                Ladder(tuple(blocks[i] for i in ordered), tuple(chain_contacts(ordered)))
-            )
-
-        for i in range(len(blocks)):
-            extend([i])
+            ladders.append(Ladder(tuple(blocks[i] for i in ordered),
+                                  tuple(contact[a][b] for a, b in zip(ordered, ordered[1:]))))
     ladders.sort(key=lambda l: (l.orientation, l.blocks))
     return ladders
+
+
+def _can_append(p: Polyomino, orientation: Orientation,
+                contact: dict[int, dict[int, tuple[Point, Point]]], chain: list[int], nxt: int) -> bool:
+    """May block ``nxt``, in contact with the chain's last block, extend the chain?"""
+    if nxt in chain:
+        return False
+    if len(chain) >= 2:
+        c_prev = contact[chain[-2]][chain[-1]]
+        c_new = contact[chain[-1]][nxt]
+        if _contacts_on_common_interval(p, c_prev, c_new, orientation):
+            return False
+    return True
 
 
 def has_block_of_length(p: Polyomino, k: int) -> bool:

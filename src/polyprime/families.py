@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -666,6 +665,9 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
         pending.append(cells)
     fresh: dict[tuple[Cell, ...], ShapeRecord] = {}
     if jobs > 1 and len(pending) > 1:
+        # Imported here: a serial sweep need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for record in pool.map(examine_shape, pending, repeat(budget), repeat(certify),
                                    chunksize=1):

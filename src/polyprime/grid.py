@@ -287,7 +287,13 @@ def walk_to_path(walk: list[Cell]) -> list[Cell]:
     return path
 
 
-@lru_cache(maxsize=65536)
+# The memos below are keyed by cell set.  A sweep analyses one shape at a
+# time and every hit comes from the shape under analysis, so a few entries
+# keep all the hits; a larger table would only hold finished shapes alive.
+_SHAPE_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
 def _holes(cells: frozenset[Cell]) -> tuple[frozenset[Cell], ...]:
     xs = [c[0] for c in cells]
     ys = [c[1] for c in cells]
@@ -345,7 +351,7 @@ def is_simple(p: Polyomino) -> bool:
     return not _holes(p.cells)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
 def _maximal_edge_intervals(cells: frozenset[Cell], orientation: Orientation) -> tuple[EdgeInterval, ...]:
     # Bucket unit edges by their fixed line, then merge contiguous runs.
     runs: dict[int, set[int]] = {}
@@ -396,7 +402,7 @@ def on_common_edge_interval(p: Polyomino, a: Point, b: Point) -> bool:
     return False
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
 def _inner_intervals(cells: frozenset[Cell]) -> tuple[Interval, ...]:
     found: list[Interval] = []
     sorted_cells = sorted(cells)
@@ -422,7 +428,7 @@ def inner_intervals(p: Polyomino) -> list[Interval]:
     return list(_inner_intervals(p.cells))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
 def _maximal_blocks(cells: frozenset[Cell], orientation: Orientation) -> tuple[Block, ...]:
     blocks: list[Block] = []
     if orientation == HORIZONTAL:

@@ -139,60 +139,54 @@ def find_zigzag_walk(p: Polyomino) -> ZigZagWalk | None:
         for interval in inner
     ]
     cocontained = _cocontainment_index(p)
-
-    def compatible_z(z: Point, chosen: list[Point]) -> bool:
-        block = cocontained.get(z, frozenset())
-        return all(prior not in block for prior in chosen)
-
     for anchor in range(len(inner)):
         first = inner[anchor]
         for v1 in sorted(first.corners):
             z1 = _opposite_corner(first, v1)
             for v2 in sorted(_other_pair(first, v1)):
                 u1 = next(c for c in first.corners if c not in (v1, z1, v2))
-                state_intervals = [anchor]
-                state_v = [v1, v2]
-                state_z = [z1]
-                state_u = [u1]
-
-                def search() -> ZigZagWalk | None:
-                    current = state_v[-1]
-                    for idx in meets[state_intervals[-1]][current]:
-                        if idx <= anchor or idx in state_intervals:
-                            continue
-                        candidate = inner[idx]
-                        z = _opposite_corner(candidate, current)
-                        if not compatible_z(z, state_z):
-                            continue
-                        for v_next in sorted(_other_pair(candidate, current)):
-                            u = next(c for c in candidate.corners if c not in (current, z, v_next))
-                            state_intervals.append(idx)
-                            state_v.append(v_next)
-                            state_z.append(z)
-                            state_u.append(u)
-                            if (
-                                v_next == state_v[0]
-                                and len(state_intervals) >= 3
-                                and anchor in meets[idx][v_next]
-                            ):
-                                walk = ZigZagWalk(
-                                    tuple(inner[i] for i in state_intervals),
-                                    tuple(state_v),
-                                    tuple(state_z),
-                                    tuple(state_u),
-                                )
-                                if verify_zigzag(p, walk):
-                                    return walk
-                            found = search()
-                            if found is not None:
-                                return found
-                            state_intervals.pop()
-                            state_v.pop()
-                            state_z.pop()
-                            state_u.pop()
-                    return None
-
-                result = search()
+                result = _extend_walk(p, inner, meets, cocontained,
+                                      ([anchor], [v1, v2], [z1], [u1]))
                 if result is not None:
                     return result
+    return None
+
+
+def _extend_walk(p: Polyomino, inner: list[Interval], meets: list[dict[Point, list[int]]],
+                 cocontained: dict[Point, frozenset[Point]],
+                 state: tuple[list[int], list[Point], list[Point], list[Point]],
+                 ) -> ZigZagWalk | None:
+    """Depth-first step of :func:`find_zigzag_walk` from a partial walk.
+
+    ``state`` holds the partial walk's interval indices and its v, z and u
+    corners; every branch restores it before moving on.  The tables are
+    passed in, not captured: a recursive closure is a reference cycle, which
+    would keep them alive until the next full garbage collection.
+    """
+    intervals, v, z, u = state
+    anchor, current = intervals[0], v[-1]
+    for idx in meets[intervals[-1]][current]:
+        if idx <= anchor or idx in intervals:
+            continue
+        candidate = inner[idx]
+        z_next = _opposite_corner(candidate, current)
+        block = cocontained.get(z_next, frozenset())
+        if any(prior in block for prior in z):
+            continue
+        for v_next in sorted(_other_pair(candidate, current)):
+            intervals.append(idx)
+            v.append(v_next)
+            z.append(z_next)
+            u.append(next(c for c in candidate.corners if c not in (current, z_next, v_next)))
+            if v_next == v[0] and len(intervals) >= 3 and anchor in meets[idx][v_next]:
+                walk = ZigZagWalk(tuple(inner[i] for i in intervals), tuple(v), tuple(z), tuple(u))
+                if verify_zigzag(p, walk):
+                    return walk
+            found = _extend_walk(p, inner, meets, cocontained, state)
+            if found is not None:
+                return found
+            intervals.pop()
+            v.pop()
+            z.pop()
+            u.pop()
     return None

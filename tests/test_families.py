@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import polyprime
+from polyprime import grid
 from polyprime.classify import OpenPath, closed_path_certificate, trimino_certificate
 from polyprime.families import (
     ConditionViolated,
@@ -23,11 +30,12 @@ from polyprime.grid import (
     TRANSFORM_NAMES,
     holes,
     is_simple,
+    parse_grid,
     transform_polyomino,
     vertices,
 )
 from polyprime.ideals import toric_map_marked
-from polyprime.toric import Budget
+from polyprime.toric import Budget, certify_primality
 
 from conftest import all_polyominoes, kills_minors, psc_parts, rectangle
 
@@ -367,6 +375,62 @@ def test_verify_main_theorem_rank18_structural():
     assert summary["shapes"] == 112
     assert summary["zigzag_shapes"] == 2
     assert summary["minimal_zigzag_rank"] == 16
+
+
+# --- memory held by a sweep --------------------------------------------------
+
+SHAPE_FILES = sorted((Path(__file__).resolve().parent.parent / "shapes").glob("*.grid"))
+
+
+def test_shape_analysis_leaves_no_reference_cycles():
+    # A cycle outlives its call until a full collection, so a sweep would
+    # hold the analysis of finished shapes.
+    shapes = [p.sorted_cells() for p in enumerate_closed_paths(14)]
+    grids = [parse_grid(path.read_text()) for path in SHAPE_FILES]
+    assert shapes and len(grids) == 4
+    gc.collect()
+    gc.disable()
+    try:
+        for cells in shapes:
+            examine_shape(cells, certify=False)
+            examine_shape(cells, certify=True)
+        for shape in grids:
+            certify_primality(shape)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# (hits, misses) of one sweep of rank <= 16 from empty memos, with and
+# without certification.  A smaller bound must not lose a hit.
+MEMO_WORK = {
+    False: {"_holes": (35, 35), "_maximal_blocks": (35, 70),
+            "_inner_intervals": (42, 35), "_maximal_edge_intervals": (111, 13)},
+    True: {"_holes": (35, 35), "_maximal_blocks": (35, 70),
+           "_inner_intervals": (83, 35), "_maximal_edge_intervals": (126, 70)},
+}
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_grid_memos_hold_less_than_a_sweep_and_keep_every_hit(certify):
+    memos = {name: getattr(grid, name) for name in MEMO_WORK[certify]}
+    for memo in memos.values():
+        memo.cache_clear()
+    shapes = len(verify_main_theorem(16, certify=certify).records)
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize < shapes, name
+        assert (info.hits, info.misses) == MEMO_WORK[certify][name], name
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(polyprime.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, polyprime; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _scan_calls(monkeypatch, shape) -> tuple[str, list[str]]:
