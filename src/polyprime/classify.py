@@ -8,8 +8,6 @@ staggered contacts), open paths, and corner triminoes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grid import (
     Block,
     Cell,
@@ -17,6 +15,7 @@ from .grid import (
     Orientation,
     Point,
     Polyomino,
+    Record,
     VERTICAL,
     cell_edges,
     cell_neighbors,
@@ -26,8 +25,7 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class ClosedPathCert:
+class ClosedPathCert(Record):
     """Cyclic cell order witnessing the closed-path conditions."""
 
     cycle: tuple[Cell, ...]
@@ -57,8 +55,7 @@ class ClosedPathCert:
         return True
 
 
-@dataclass(frozen=True)
-class LConfiguration:
+class LConfiguration(Record):
     """Five-cell path whose two three-cell arms run in orthogonal directions.
 
     ``cells`` is ordered A1..A5; A3 is the shared corner cell.
@@ -74,8 +71,7 @@ class LConfiguration:
         return frozenset(self.cells)
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(Record):
     """Chain of parallel maximal blocks with single-edge, staggered contacts."""
 
     blocks: tuple[Block, ...]
@@ -90,8 +86,7 @@ class Ladder:
         return self.blocks[0].orientation
 
 
-@dataclass(frozen=True)
-class OpenPath:
+class OpenPath(Record):
     """Cell sequence with distinct cells, consecutive edge contacts, and
     vertex-disjointness at index distance three or more."""
 
@@ -109,8 +104,7 @@ class OpenPath:
         return tuple(e for e in cell_edges(cell) if e not in taken)
 
 
-@dataclass(frozen=True)
-class Trimino:
+class Trimino(Record):
     """Three non-aligned cells with their two hooking vertices.
 
     The hooking vertex of an end cell is its unique corner that belongs to

@@ -14,10 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .classify import (
     OpenPath,
@@ -35,6 +34,7 @@ from .grid import (
     HORIZONTAL,
     Point,
     Polyomino,
+    Record,
     TRANSFORM_NAMES,
     VERTICAL,
     cell_edges,
@@ -81,8 +81,7 @@ def _normalize_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     return tuple(sorted((x - lox, y - loy) for x, y in cells))
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Lexicographic minimum over the eight dihedral images, at the origin."""
 
     cells: tuple[Cell, ...]
@@ -187,8 +186,7 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
 # Composite family constructors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Validated family instance: the parts and the marked-set recipe."""
 
     kind: str  # "psc" | "rectangle-linked" | "good-l-rectangle" | "ladder-rectangle"
@@ -458,8 +456,7 @@ def certify_family(p: Polyomino, spec: FamilySpec,
 # The verification harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeRecord:
+class ShapeRecord(Record):
     cells: tuple[Cell, ...]
     rank: int
     l_configurations: int
@@ -526,8 +523,7 @@ def examine_shape(cells: tuple[Cell, ...], budget: Budget = UNLIMITED,
     )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     max_rank: int
     records: list[ShapeRecord]
 

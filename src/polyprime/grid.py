@@ -10,15 +10,15 @@ operations are pure functions with deterministic output order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal
+from operator import attrgetter
 
 Point = tuple[int, int]
 Cell = tuple[int, int]
 Edge = tuple[Point, Point]  # endpoints sorted lexicographically
 
-Orientation = Literal["h", "v"]
+Orientation = str  # HORIZONTAL ("h") or VERTICAL ("v")
 
 HORIZONTAL: Orientation = "h"
 VERTICAL: Orientation = "v"
@@ -76,8 +76,98 @@ def point_leq(p: Point, q: Point) -> bool:
     return p[0] <= q[0] and p[1] <= q[1]
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields, in order, as annotations in its body,
+    after the fields of a Record base; a class attribute of the same name
+    is the field's default.  The constructor takes the fields by position
+    or keyword and then calls ``__post_init__``, where a subclass checks
+    them.  Instances compare and order as the tuples of their field
+    values, and only with instances of the same class; they hash as that
+    tuple and refuse assignment.  This is the value behaviour of a frozen
+    ``dataclasses.dataclass`` with ``order=True``, reprs included, without
+    the cost of importing ``dataclasses`` and generating each class's
+    methods, which every process would pay at start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls._fields + tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        cls._fields = fields
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # Fields are stored with object.__setattr__, never through __dict__:
+        # the instance then keeps its attribute reads on the fast path.
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} fields, "
+                            f"{len(args)} given")
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__qualname__} missing field {name!r}")
+            _set_field(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__qualname__} has no fields {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass with an invariant overrides this."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) <= other._values(other)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) > other._values(other)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) >= other._values(other)
+        return NotImplemented
+
+
+class Interval(Record):
     """Lattice interval [a, b] with a <= b componentwise.
 
     ``a`` and ``b`` are the diagonal corners; the anti-diagonal corners are
@@ -130,8 +220,7 @@ class Interval:
         return frozenset((x, y) for x in range(lox, hix + 1) for y in range(loy, hiy + 1))
 
 
-@dataclass(frozen=True, order=True)
-class EdgeInterval:
+class EdgeInterval(Record):
     """Maximal straight run of unit cell edges on one grid line.
 
     ``line`` is the fixed coordinate (y for horizontal, x for vertical);
@@ -168,8 +257,7 @@ class EdgeInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True, order=True)
-class Block:
+class Block(Record):
     """Run of consecutive collinear cells, ordered by increasing coordinate."""
 
     orientation: Orientation
@@ -183,8 +271,7 @@ class Block:
         return frozenset(v for c in self.cells for v in cell_vertices(c))
 
 
-@dataclass(frozen=True)
-class Polyomino:
+class Polyomino(Record):
     """Finite, nonempty, edge-connected set of cells."""
 
     cells: frozenset[Cell]

@@ -19,14 +19,14 @@ list of names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .classify import Ladder, LConfiguration, find_l_configurations, find_ladders
 from .grid import (
     HORIZONTAL,
     Point,
     Polyomino,
+    Record,
     TRANSFORM_NAMES,
     VERTICAL,
     cell_vertices,
@@ -99,8 +99,7 @@ def inner_minors(p: Polyomino) -> list[ExponentBinomial]:
     ]
 
 
-@dataclass(frozen=True)
-class ToricMap:
+class ToricMap(Record):
     """A toric map phi as its exponent matrix A.
 
     Column r of ``entries`` is the exponent vector of phi(x_r), for the

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
 
 from .classify import (
     LConfiguration,
@@ -39,7 +38,7 @@ from .classify import (
     find_l_configurations,
     find_ladders,
 )
-from .grid import Polyomino, cell_vertices, is_simple
+from .grid import Polyomino, Record, cell_vertices, is_simple
 from .ideals import (
     ExponentBinomial,
     Mono,
@@ -82,8 +81,7 @@ class CounterexampleFound(RuntimeError):
     """A machine check contradicted a certified structural fact."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Caps for one certification or one kernel basis; ``None`` means unlimited.
 
     Each public entry point calls :meth:`start` once and hands the clock
@@ -596,8 +594,7 @@ EQUALITY_FULL = "full"
 EQUALITY_CONTAINMENT = "containment-only"
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(Record):
     kind: str  # "prime" | "nonprime" | "inconclusive"
     proof: str | None = None
     equality: str | None = None

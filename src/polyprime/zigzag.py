@@ -10,13 +10,11 @@ such a walk is the obstruction the primality pipeline reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .grid import Interval, Point, Polyomino, inner_intervals, on_common_edge_interval
+from .grid import Interval, Point, Polyomino, Record, inner_intervals, on_common_edge_interval
 
 
-@dataclass(frozen=True)
-class ZigZagWalk:
+class ZigZagWalk(Record):
     """Witness: intervals I_1..I_l with corner labels v, z, u.
 
     ``v`` has length l + 1 with v[l] == v[0]; entry corner of interval i is

@@ -424,11 +424,13 @@ def test_grid_memos_hold_less_than_a_sweep_and_keep_every_hit(certify):
 
 
 def test_import_loads_no_process_pool():
+    # -S: no site hook preloads a module, so only polyprime's imports count.
+    # The pool modules load on demand; the others only cost start-up time.
     src = str(Path(polyprime.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, polyprime; "
-             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "ast", "typing"}
+    probe = f"import sys, polyprime; print(sorted({unwanted!r} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
 

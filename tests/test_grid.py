@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from polyprime.classify import ClosedPathCert, LConfiguration, Ladder, OpenPath, Trimino
+from polyprime.families import CanonicalForm, FamilySpec, ShapeRecord, VerificationReport
 from polyprime.grid import (
+    Block,
     DisconnectedCellsError,
+    EdgeInterval,
     EmptyPolyominoError,
     GridParseError,
     HORIZONTAL,
@@ -28,6 +35,9 @@ from polyprime.grid import (
     vertices,
     walk_to_path,
 )
+from polyprime.ideals import ToricMap
+from polyprime.toric import Budget, PrimalityVerdict
+from polyprime.zigzag import ZigZagWalk
 
 from conftest import rectangle
 
@@ -256,3 +266,114 @@ def test_transforms_preserve_structure(name, ring22):
     assert image.rank == ring22.rank
     assert len(holes(image)) == len(holes(ring22))
     assert len(inner_intervals(image)) == len(inner_intervals(ring22))
+
+
+# One instance of every value class, as (class, fields in order, repr).
+# Each repr is the text a frozen dataclass prints for the same value.
+RECORD_SAMPLES = [
+    (Interval, {"a": (0, 0), "b": (1, 1)}, "Interval(a=(0, 0), b=(1, 1))"),
+    (EdgeInterval, {"orientation": "h", "line": 2, "lo": 0, "hi": 3},
+     "EdgeInterval(orientation='h', line=2, lo=0, hi=3)"),
+    (Block, {"orientation": "v", "cells": ((0, 0), (0, 1), (0, 2))},
+     "Block(orientation='v', cells=((0, 0), (0, 1), (0, 2)))"),
+    (Polyomino, {"cells": frozenset({(0, 0)})}, "Polyomino(cells=frozenset({(0, 0)}))"),
+    (ClosedPathCert, {"cycle": ((0, 0), (1, 0), (1, 1), (0, 1))},
+     "ClosedPathCert(cycle=((0, 0), (1, 0), (1, 1), (0, 1)))"),
+    (LConfiguration, {"cells": ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))},
+     "LConfiguration(cells=((0, 0), (1, 0), (2, 0), (2, 1), (2, 2)))"),
+    (Ladder, {"blocks": (Block("h", ((0, 0), (1, 0))), Block("h", ((1, 1), (2, 1)))),
+              "contacts": (((1, 1), (2, 1)),)},
+     "Ladder(blocks=(Block(orientation='h', cells=((0, 0), (1, 0))), "
+     "Block(orientation='h', cells=((1, 1), (2, 1)))), contacts=(((1, 1), (2, 1)),))"),
+    (OpenPath, {"cells": ((0, 0), (1, 0), (1, 1))}, "OpenPath(cells=((0, 0), (1, 0), (1, 1)))"),
+    (ZigZagWalk, {"intervals": (Interval((0, 0), (1, 1)), Interval((1, 1), (2, 2))),
+                  "v": ((0, 0), (1, 1), (0, 0)), "z": ((1, 1), (2, 2)), "u": ((0, 1), (1, 2))},
+     "ZigZagWalk(intervals=(Interval(a=(0, 0), b=(1, 1)), Interval(a=(1, 1), b=(2, 2))), "
+     "v=((0, 0), (1, 1), (0, 0)), z=((1, 1), (2, 2)), u=((0, 1), (1, 2)))"),
+    (ToricMap, {"columns": ((0, 0), (0, 1)), "entries": ((1, 1), (0, 1)),
+                "marked": frozenset({(0, 1)})},
+     "ToricMap(columns=((0, 0), (0, 1)), entries=((1, 1), (0, 1)), marked=frozenset({(0, 1)}))"),
+    (Budget, {"max_pairs": 3, "max_degree": None, "max_seconds": 1.5},
+     "Budget(max_pairs=3, max_degree=None, max_seconds=1.5)"),
+    (PrimalityVerdict, {"kind": "nonprime", "proof": None, "equality": None, "witness": None,
+                        "reason": "zig-zag walk", "notes": ("a note",)},
+     "PrimalityVerdict(kind='nonprime', proof=None, equality=None, witness=None, "
+     "reason='zig-zag walk', notes=('a note',))"),
+    (CanonicalForm, {"cells": ((0, 0), (0, 1))}, "CanonicalForm(cells=((0, 0), (0, 1)))"),
+    (FamilySpec, {"kind": "psc", "parts": (("s", ((0, 0),)),)},
+     "FamilySpec(kind='psc', parts=(('s', ((0, 0),)),))"),
+    (ShapeRecord, {"cells": ((0, 0),), "rank": 1, "l_configurations": 0, "ladders3": 0,
+                   "zigzag": False, "block3": False, "hole_count": 0, "simple": True,
+                   "verdict": {"kind": "skipped"}},
+     "ShapeRecord(cells=((0, 0),), rank=1, l_configurations=0, ladders3=0, zigzag=False, "
+     "block3=False, hole_count=0, simple=True, verdict={'kind': 'skipped'})"),
+    (VerificationReport, {"max_rank": 4, "records": []},
+     "VerificationReport(max_rank=4, records=[])"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORD_SAMPLES,
+                         ids=[sample[0].__name__ for sample in RECORD_SAMPLES])
+def test_record_value_semantics(cls, fields, text):
+    record = cls(*fields.values())
+    values = tuple(fields.values())
+    assert repr(record) == text
+    assert record == cls(**fields) and not record != cls(**fields)
+    assert tuple(getattr(record, name) for name in fields) == values
+    try:
+        expected_hash = hash(values)
+    except TypeError:  # a dict or list field: unhashable, as before
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected_hash
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+def test_records_order_by_their_fields_within_one_class():
+    assert sorted([Interval((1, 0), (2, 1)), Interval((0, 0), (2, 2)), Interval((0, 0), (1, 1))]) \
+        == [Interval((0, 0), (1, 1)), Interval((0, 0), (2, 2)), Interval((1, 0), (2, 1))]
+    assert sorted([EdgeInterval("v", 0, 0, 1), EdgeInterval("h", 1, 0, 2), EdgeInterval("h", 0, 1, 2)]) \
+        == [EdgeInterval("h", 0, 1, 2), EdgeInterval("h", 1, 0, 2), EdgeInterval("v", 0, 0, 1)]
+    assert sorted([Block("v", ((0, 0),)), Block("h", ((1, 0),)), Block("h", ((0, 0), (1, 0)))]) \
+        == [Block("h", ((0, 0), (1, 0))), Block("h", ((1, 0),)), Block("v", ((0, 0),))]
+    low, high = CanonicalForm(((0, 0), (0, 1))), CanonicalForm(((0, 0), (1, 0)))
+    assert low < high and low <= high and high > low and high >= low and low <= low
+    assert not low < low and max(high, low) is high
+    # Values of different classes are never equal and never ordered.
+    assert Interval((0, 0), (1, 1)) != ((0, 0), (1, 1))
+    assert CanonicalForm(((0, 0),)) != LConfiguration(((0, 0),))
+    with pytest.raises(TypeError):
+        Interval((0, 0), (1, 1)) < Block("h", ((0, 0),))
+
+
+def test_record_construction_defaults_and_checks():
+    assert Budget() == Budget(None, None, None)
+    assert Budget(max_seconds=2.0) == Budget(None, None, 2.0)
+    assert repr(Budget(max_pairs=3)) == "Budget(max_pairs=3, max_degree=None, max_seconds=None)"
+    assert PrimalityVerdict("prime") == PrimalityVerdict("prime", None, None, None, None, ())
+    assert Interval((0, 0), b=(1, 1)) == Interval(a=(0, 0), b=(1, 1))
+    with pytest.raises(TypeError):
+        Interval((0, 0))
+    with pytest.raises(TypeError):
+        Interval((0, 0), (1, 1), (2, 2))
+    with pytest.raises(TypeError):
+        Budget(max_time=1.0)
+    # __post_init__ still checks every construction.
+    with pytest.raises(ValueError):
+        Interval((1, 1), (0, 0))
+    with pytest.raises(ValueError):
+        EdgeInterval(HORIZONTAL, 0, 2, 2)
+    with pytest.raises(EmptyPolyominoError):
+        Polyomino(frozenset())
+    with pytest.raises(DisconnectedCellsError):
+        Polyomino(frozenset({(0, 0), (2, 0)}))
+    # Trimino hashes without its dict field.
+    trimino = Trimino(((0, 0), (1, 0), (1, 1)), ((0, 0), (2, 2)), {})
+    assert hash(trimino) == hash((trimino.cells, trimino.hooking_vertices))
