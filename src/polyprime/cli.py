@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .budget import Budget, BudgetExhausted, CounterexampleFound
 from .classify import (
     closed_path_certificate,
     find_l_configurations,
@@ -18,44 +19,17 @@ from .classify import (
     open_path_certificate,
     trimino_certificate,
 )
-from .families import (
-    ConditionViolated,
-    FamilySpec,
-    OpenPath,
-    build_psc,
-    build_rectangle_linked,
-    certify_family,
-    check_good_l_rectangle,
-    enumerate_closed_paths,
-    verify_main_theorem,
-)
+from .families import enumerate_closed_paths, verify_main_theorem
 from .grid import (
     GridParseError,
     Polyomino,
     PolyominoError,
-    cell_list,
     format_shape_json,
     holes,
     inner_intervals,
     is_simple,
     parse_grid,
     parse_shape_json,
-)
-from .ideals import (
-    export_generators,
-    inner_minors,
-    toric_map_lconfig,
-    toric_map_marked,
-    vertex_name,
-    vertex_order,
-)
-from .toric import (
-    Budget,
-    BudgetExhausted,
-    CounterexampleFound,
-    NotInSupportedClass,
-    certify_primality,
-    toric_ideal,
 )
 from .zigzag import find_zigzag_walk
 
@@ -151,6 +125,16 @@ def _cmd_zigzag(args: argparse.Namespace) -> int:
 
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
+    from .ideals import (
+        export_generators,
+        inner_minors,
+        toric_map_lconfig,
+        toric_map_marked,
+        vertex_name,
+        vertex_order,
+    )
+    from .toric import toric_ideal
+
     shape = _read_shape(args.shape, args.format)
     names = [vertex_name(v) for v in vertex_order(shape)]
     out = export_generators(names, inner_minors(shape))
@@ -179,6 +163,8 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .toric import NotInSupportedClass, certify_primality
+
     shape = _read_shape(args.shape, args.format)
     budget = _budget_from_args(args)
     try:
@@ -234,35 +220,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_family_spec(path: str) -> tuple[Polyomino, FamilySpec]:
-    try:
-        data = json.loads(Path(path).read_text() if path != "-" else sys.stdin.read())
-    except json.JSONDecodeError as exc:
-        raise GridParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
-    if not isinstance(data, dict):
-        raise GridParseError("a family spec must be a JSON object")
-    kind = data.get("kind")
-    cells = lambda key: cell_list(data, key)
-    if kind == "psc":
-        s = Polyomino.from_cells(cells("s"))
-        c_path = OpenPath(cells("c"))
-        t1 = trimino_certificate(Polyomino.from_cells(cells("t1")))
-        t2 = trimino_certificate(Polyomino.from_cells(cells("t2")))
-        if t1 is None or t2 is None:
-            raise ConditionViolated(1, "hook part is not a trimino")
-        return build_psc(s, c_path, t1, t2)
-    if kind in ("rectangle-linked", "good-l-rectangle", "ladder-rectangle"):
-        r = Polyomino.from_cells(cells("r"))
-        s = Polyomino.from_cells(cells("s"))
-        p1 = OpenPath(cells("p1"))
-        p2 = OpenPath(cells("p2"))
-        return build_rectangle_linked(r, p1, s, p2, kind=kind)
-    raise GridParseError(f"unknown family kind {kind!r}")
-
-
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .composites import (
+        ConditionViolated,
+        certify_family,
+        check_good_l_rectangle,
+        parse_family_json,
+    )
+
+    text = Path(args.spec).read_text() if args.spec != "-" else sys.stdin.read()
     try:
-        shape, spec = _parse_family_spec(args.spec)
+        shape, spec = parse_family_json(text)
     except (GridParseError, ConditionViolated, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

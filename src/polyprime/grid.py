@@ -644,12 +644,17 @@ def parse_shape_json(text: str) -> Polyomino:
 
 
 def cell_list(data: object, key: str) -> tuple[Cell, ...]:
-    """The cells under ``key`` of a decoded JSON object, checked to be [x, y] integer pairs."""
+    """The cells under ``key`` of a decoded JSON object, checked to be [x, y] integer pairs.
+
+    JSON ``true`` and ``false`` decode to ``bool``, a subclass of ``int``;
+    they are not coordinates.
+    """
     if not isinstance(data, dict) or key not in data:
         raise GridParseError(f'expected an object with a "{key}" key')
     cells = data[key]
     if not isinstance(cells, list) or not all(
-        isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(v, int) for v in c)
+        isinstance(c, (list, tuple)) and len(c) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in c)
         for c in cells
     ):
         raise GridParseError(f'"{key}" must be a list of [x, y] integer pairs')

@@ -27,10 +27,10 @@ and as a test oracle.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 
+from .budget import Budget, BudgetClock, BudgetExhausted, CounterexampleFound, UNLIMITED
 from .classify import (
     LConfiguration,
     Ladder,
@@ -56,68 +56,8 @@ _FIELD_BITS = 20
 _FIELD_MAX = 1 << (_FIELD_BITS - 1)
 
 
-class BudgetExhausted(Exception):
-    """A Groebner computation hit its pair, degree, or time cap.
-
-    Carries the partial state: pairs processed, the largest degree seen,
-    and (when the main loop was already running) the basis size so far.
-    ``phase`` names the step of a multi-step check that ran out, if any.
-    """
-
-    def __init__(self, reason: str, pairs: int, max_degree_seen: int):
-        self.reason = reason
-        self.pairs = pairs
-        self.max_degree_seen = max_degree_seen
-        self.basis_size: int | None = None
-        self.phase: str | None = None
-        super().__init__(f"{reason} (pairs={pairs}, max degree seen={max_degree_seen})")
-
-
 class NotInSupportedClass(ValueError):
     """certify_primality only covers simple shapes and closed paths."""
-
-
-class CounterexampleFound(RuntimeError):
-    """A machine check contradicted a certified structural fact."""
-
-
-class Budget(Record):
-    """Caps for one certification or one kernel basis; ``None`` means unlimited.
-
-    Each public entry point calls :meth:`start` once and hands the clock
-    to every Groebner run it makes, so the caps bound their sum.
-    """
-
-    max_pairs: int | None = None
-    max_degree: int | None = None
-    max_seconds: float | None = None
-
-    def start(self) -> "_BudgetClock":
-        return _BudgetClock(self)
-
-
-class _BudgetClock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.pairs = 0
-        self.max_degree_seen = 0
-        self.t0 = time.monotonic()
-
-    def tick_pair(self, degree: int) -> None:
-        self.pairs += 1
-        if degree > self.max_degree_seen:
-            self.max_degree_seen = degree
-        b = self.budget
-        if b.max_pairs is not None and self.pairs > b.max_pairs:
-            raise BudgetExhausted("pair cap", self.pairs, self.max_degree_seen)
-        if b.max_degree is not None and degree > b.max_degree:
-            raise BudgetExhausted("degree cap", self.pairs, self.max_degree_seen)
-        if b.max_seconds is not None and self.pairs % 64 == 0:
-            if time.monotonic() - self.t0 > b.max_seconds:
-                raise BudgetExhausted("time cap", self.pairs, self.max_degree_seen)
-
-
-UNLIMITED = Budget()
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +265,7 @@ def _gm_update(ring: _PackedRing, basis: list[_Packed], pairs: list[tuple[int, i
             cancelled.add((i, j))
 
 
-def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) -> list[_Packed]:
+def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: BudgetClock) -> list[_Packed]:
     basis: list[_Packed] = []
     pairs: list[tuple[int, int, int, int]] = []
     cancelled: set[tuple[int, int]] = set()
@@ -365,7 +305,7 @@ def _pk_buchberger(ring: _PackedRing, gens: list[_Packed], clock: _BudgetClock) 
 
 
 def buchberger_engine(gens: Iterable[ExponentBinomial], cheapest: int,
-                      clock: _BudgetClock) -> list[ExponentBinomial]:
+                      clock: BudgetClock) -> list[ExponentBinomial]:
     """Reduced Groebner basis of a binomial ideal over exponent tuples.
 
     The order is degrevlex with variable ``cheapest`` the cheapest; the last
@@ -402,7 +342,7 @@ def buchberger(gens: Iterable[ExponentBinomial],
 
 
 def saturate_engine(gens: Iterable[ExponentBinomial], var_index: int,
-                    clock: _BudgetClock) -> list[ExponentBinomial]:
+                    clock: BudgetClock) -> list[ExponentBinomial]:
     """Generators of (ideal : x_i^infinity) for standard-graded binomials.
 
     With the saturating variable cheapest in degrevlex, a homogeneous

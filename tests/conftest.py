@@ -7,7 +7,8 @@ from typing import Iterator
 import pytest
 
 from polyprime.classify import OpenPath, trimino_certificate
-from polyprime.families import build_psc, build_rectangle_linked, canonical_form
+from polyprime.composites import build_psc, build_rectangle_linked
+from polyprime.families import canonical_form
 from polyprime.grid import Polyomino
 from polyprime.ideals import check_containment, inner_minors
 from polyprime.toric import (

@@ -230,7 +230,7 @@ def test_criterion_5_saturation_and_soundness():
 
 
 def test_criterion_6_family_constructors(psc_instance, good_l_instance, ladder_rect_instance):
-    from polyprime.families import certify_family, check_good_l_rectangle, family_marked_set
+    from polyprime.composites import certify_family, check_good_l_rectangle, family_marked_set
 
     t0 = time.monotonic()
     results = {}

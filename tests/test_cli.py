@@ -227,6 +227,37 @@ def test_family_spec_part_not_a_cell_list_exit4(tmp_path, capsys):
     assert '"s" must be a list of [x, y] integer pairs' in capsys.readouterr().err
 
 
+def test_json_booleans_are_not_coordinates(tmp_path, capsys):
+    # frame3 with every 0 and 1 spelled false and true: bool is a subclass of int.
+    path = tmp_path / "frame3.json"
+    path.write_text('{"cells": [[false, false], [true, false], [2, false], [2, true], '
+                    '[2, 2], [true, 2], [false, 2], [false, true]]}')
+    assert main(["certify", str(path)]) == 4
+    assert '"cells" must be a list of [x, y] integer pairs' in capsys.readouterr().err
+
+
+def test_family_spec_boolean_coordinate_exit4(tmp_path, capsys, good_l_instance):
+    _, spec = good_l_instance
+    payload = {"kind": "good-l-rectangle",
+               **{key: [list(c) for c in spec.part(key)] for key in ("r", "p1", "s", "p2")}}
+    payload["s"][0][0] = True
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload))
+    assert main(["family", str(path)]) == 4
+    assert '"s" must be a list of [x, y] integer pairs' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [
+    ["--budget-pairs", "-1"],
+    ["--budget-degree", "-3"],
+    ["--budget-seconds", "-1"],
+    ["--budget-seconds", "nan"],
+])
+def test_negative_or_nan_budget_cap_exit4(cap, capsys):
+    assert main(["certify", str(SHAPES / "frame3.grid"), *cap]) == 4
+    assert capsys.readouterr().err.startswith("input error: budget cap")
+
+
 def test_certify_directory_exit4(tmp_path, capsys):
     assert main(["certify", str(tmp_path)]) == 4
     assert capsys.readouterr().err.startswith("input error:")

@@ -13,16 +13,18 @@ from hypothesis import given, strategies as st
 import polyprime
 from polyprime import grid
 from polyprime.classify import OpenPath, closed_path_certificate, trimino_certificate
-from polyprime.families import (
+from polyprime.composites import (
     ConditionViolated,
     build_psc,
     build_rectangle_linked,
-    canonical_form,
     certify_family,
     check_good_l_rectangle,
+    family_marked_set,
+)
+from polyprime.families import (
+    canonical_form,
     enumerate_closed_paths,
     examine_shape,
-    family_marked_set,
     verify_main_theorem,
 )
 from polyprime.grid import (
@@ -423,16 +425,92 @@ def test_grid_memos_hold_less_than_a_sweep_and_keep_every_hit(certify):
         assert (info.hits, info.misses) == MEMO_WORK[certify][name], name
 
 
-def test_import_loads_no_process_pool():
-    # -S: no site hook preloads a module, so only polyprime's imports count.
-    # The pool modules load on demand; the others only cost start-up time.
+# The algebraic layer and the composite families: the structural layer
+# (shapes, scans, zig-zag search, enumeration, the uncertified sweep) never
+# imports them.
+ALGEBRA = {"polyprime.toric", "polyprime.ideals", "polyprime.composites"}
+
+# Every public name the package namespace held when it imported all layers
+# eagerly; each must still resolve.
+PUBLIC_NAMES = (
+    "Block", "Budget", "BudgetExhausted", "CanonicalForm", "Cell", "ClosedPathCert",
+    "ConditionViolated", "CounterexampleFound", "DisconnectedCellsError", "EdgeInterval",
+    "EmptyPolyominoError", "FamilySpec", "GridParseError", "Interval", "LConfiguration",
+    "Ladder", "NotInSupportedClass", "OpenPath", "Point", "Polyomino", "PolyominoError",
+    "PrimalityVerdict", "ToricMap", "Trimino", "ZigZagWalk", "buchberger", "build_psc",
+    "build_rectangle_linked", "canonical_form", "certify_family", "certify_primality",
+    "check_containment", "check_good_l_rectangle", "classify", "closed_path_certificate",
+    "edges", "enumerate_closed_paths", "export_generators", "families",
+    "find_l_configurations", "find_ladders", "find_zigzag_walk", "format_grid",
+    "format_shape_json", "grid", "has_block_of_length", "holes", "ideals", "inner_intervals",
+    "inner_minors", "integer_kernel", "is_connected", "is_simple", "maximal_blocks",
+    "maximal_edge_intervals", "open_path_certificate", "parse_grid", "parse_shape_json",
+    "toric", "toric_ideal", "toric_map_ladder", "toric_map_lconfig", "toric_map_marked",
+    "trimino_certificate", "verify_main_theorem", "verify_zigzag", "vertex_name",
+    "vertex_order", "vertices", "walk_to_path", "zigzag",
+)
+
+
+def _loaded_after(work: str) -> list[str]:
+    """Those of the unwanted modules that a fresh process holds after running ``work``.
+
+    -S: no site hook preloads a module, so only polyprime's imports count.
+    """
     src = str(Path(polyprime.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "ast", "typing"}
-    probe = f"import sys, polyprime; print(sorted({unwanted!r} & set(sys.modules)))"
+    unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "ast",
+                "typing", *ALGEBRA}
+    probe = (f"import json, sys, polyprime\n{work}\n"
+             f"print(json.dumps(sorted({unwanted!r} & set(sys.modules))))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_process_pool():
+    # The pool modules load on demand; the others only cost start-up time,
+    # and the algebra is compiled only by a caller that runs it.
+    assert _loaded_after("") == []
+
+
+@pytest.mark.parametrize("work", [
+    "polyprime.verify_main_theorem(12, certify=False)",
+    "from polyprime.cli import main; main(['enumerate', '--max-rank', '12'])",
+    "from polyprime.cli import main; main(['zigzag', 'shapes/diamond16.grid'])",
+    "from polyprime.cli import main; main(['classify', 'shapes/ring22.grid'])",
+    "from polyprime.cli import main; main(['verify', '--no-certify', '--max-rank', '12'])",
+])
+def test_structural_work_loads_no_algebra(work, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    assert _loaded_after(work) == []
+
+
+def test_certified_work_loads_the_algebra():
+    assert _loaded_after("polyprime.verify_main_theorem(8)") == sorted(ALGEBRA - {"polyprime.composites"})
+    assert _loaded_after("polyprime.certify_family") == sorted(ALGEBRA)
+
+
+def test_public_names_resolve_and_are_listed():
+    import importlib
+
+    listed = dir(polyprime)
+    for name in PUBLIC_NAMES:
+        assert name in listed, name
+        assert getattr(polyprime, name) is not None, name
+    for name, module in polyprime._LAZY.items():
+        assert name in listed, name
+        home = importlib.import_module(f"polyprime.{module}")
+        assert name == module or getattr(polyprime, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        polyprime.no_such_name
+
+
+def test_budget_has_one_home():
+    from polyprime import budget, toric
+
+    for name in ("Budget", "BudgetExhausted", "CounterexampleFound", "UNLIMITED"):
+        assert getattr(toric, name) is getattr(budget, name), name
+    assert toric.Budget is polyprime.Budget
 
 
 def _scan_calls(monkeypatch, shape) -> tuple[str, list[str]]:

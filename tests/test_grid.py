@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyprime.classify import ClosedPathCert, LConfiguration, Ladder, OpenPath, Trimino
-from polyprime.families import CanonicalForm, FamilySpec, ShapeRecord, VerificationReport
+from polyprime.composites import FamilySpec
+from polyprime.families import CanonicalForm, ShapeRecord, VerificationReport
 from polyprime.grid import (
     Block,
     DisconnectedCellsError,
