@@ -50,7 +50,6 @@ from .grid import (
     parse_grid,
     parse_shape_json,
     vertices,
-    walk_to_path,
 )
 from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag
 

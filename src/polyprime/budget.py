@@ -17,16 +17,21 @@ class BudgetExhausted(Exception):
 
     Carries the partial state: pairs processed, the largest degree seen,
     and (when the main loop was already running) the basis size so far.
-    ``phase`` names the step of a multi-step check that ran out, if any.
+    ``phase`` names the step of a multi-step check that ran out, if any;
+    the message names it too once it is set.
     """
 
     def __init__(self, reason: str, pairs: int, max_degree_seen: int):
+        super().__init__(reason, pairs, max_degree_seen)
         self.reason = reason
         self.pairs = pairs
         self.max_degree_seen = max_degree_seen
         self.basis_size: int | None = None
         self.phase: str | None = None
-        super().__init__(f"{reason} (pairs={pairs}, max degree seen={max_degree_seen})")
+
+    def __str__(self) -> str:
+        where = f"{self.phase}; " if self.phase else ""
+        return f"{self.reason} ({where}pairs={self.pairs}, max degree seen={self.max_degree_seen})"
 
 
 class CounterexampleFound(RuntimeError):

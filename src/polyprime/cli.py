@@ -1,7 +1,9 @@
 """Batch command-line surface.
 
-Exit codes: 0 success, 2 counterexample found, 3 budget exhausted,
-4 input error (a usage error included).
+Exit codes: 0 success, 2 counterexample found, 3 budget exhausted (a
+Prime verdict whose equality proof the budget cut short included),
+4 input error (a usage error included).  The commands raise; :func:`main`
+alone turns an exception into a message and an exit code.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .classify import (
 )
 from .families import enumerate_closed_paths, verify_main_theorem
 from .grid import (
-    GridParseError,
     Polyomino,
-    PolyominoError,
     format_shape_json,
     holes,
     inner_intervals,
@@ -142,19 +142,12 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
         if args.marked == "lconfig":
             lconfigs = find_l_configurations(shape)
             if not lconfigs:
-                print("input error: --marked lconfig needs an L-configuration, "
-                      "and the shape has none", file=sys.stderr)
-                return EXIT_INPUT
+                raise ValueError("--marked lconfig needs an L-configuration, "
+                                 "and the shape has none")
             phi = toric_map_lconfig(shape, lconfigs[0])
         else:
             phi = toric_map_marked(shape, ())
-        budget = _budget_from_args(args)
-        try:
-            basis = toric_ideal(phi.entries, budget, names)
-        except BudgetExhausted as exc:
-            print(f"budget exhausted: {exc.reason} ({exc.phase}; pairs={exc.pairs}, "
-                  f"max degree seen={exc.max_degree_seen})", file=sys.stderr)
-            return EXIT_BUDGET
+        basis = toric_ideal(phi.entries, _budget_from_args(args), names)
         out += "\n" + export_generators(names, basis)
     sys.stdout.write(out)
     if args.output:
@@ -162,19 +155,16 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verdict_exit(equality: str | None) -> int:
+    """A verdict whose proof of I_P = ker(phi) the budget cut short exits as a budget stop."""
+    return EXIT_BUDGET if equality == "containment-only" else EXIT_OK
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from .toric import NotInSupportedClass, certify_primality
+    from .toric import certify_primality
 
     shape = _read_shape(args.shape, args.format)
-    budget = _budget_from_args(args)
-    try:
-        verdict = certify_primality(shape, budget)
-    except NotInSupportedClass as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CounterexampleFound as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
+    verdict = certify_primality(shape, _budget_from_args(args))
     payload = verdict.to_json_dict()
     if verdict.kind == "prime":
         human = f"Prime ({verdict.proof}; equality={verdict.equality})"
@@ -183,9 +173,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         human = f"Inconclusive ({verdict.reason})"
     _emit(args, human, payload)
-    if verdict.equality == "containment-only":
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _verdict_exit(verdict.equality)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -198,18 +186,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = _budget_from_args(args)
-    try:
-        report = verify_main_theorem(
-            args.max_rank,
-            budget,
-            jobs=args.jobs,
-            certify=not args.no_certify,
-            cache_dir=args.cache_dir,
-        )
-    except CounterexampleFound as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
+    report = verify_main_theorem(
+        args.max_rank,
+        _budget_from_args(args),
+        jobs=args.jobs,
+        certify=not args.no_certify,
+        cache_dir=args.cache_dir,
+    )
     text = report.to_json_lines()
     if args.output:
         Path(args.output).write_text(text)
@@ -221,19 +204,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    from .composites import (
-        ConditionViolated,
-        certify_family,
-        check_good_l_rectangle,
-        parse_family_json,
-    )
+    from .composites import certify_family, check_good_l_rectangle, parse_family_json
 
     text = Path(args.spec).read_text() if args.spec != "-" else sys.stdin.read()
-    try:
-        shape, spec = parse_family_json(text)
-    except (GridParseError, ConditionViolated, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    shape, spec = parse_family_json(text)
     payload: dict = {
         "kind": spec.kind,
         "cells": [list(c) for c in shape.sorted_cells()],
@@ -241,21 +215,16 @@ def _cmd_family(args: argparse.Namespace) -> int:
     }
     if spec.kind == "good-l-rectangle":
         payload["good"] = check_good_l_rectangle(shape, spec)
-    if args.certify:
-        budget = _budget_from_args(args)
-        try:
-            verdict = certify_family(shape, spec, budget)
-        except CounterexampleFound as exc:
-            print(f"counterexample: {exc}", file=sys.stderr)
-            return EXIT_COUNTEREXAMPLE
-        payload["verdict"] = verdict.to_json_dict()
-        human = f"{spec.kind}: valid, {verdict.kind}"
-        if verdict.kind == "prime":
-            human += f" ({verdict.proof}; equality={verdict.equality})"
-    else:
-        human = f"{spec.kind}: valid, {payload['holes']} hole(s)"
+    if not args.certify:
+        _emit(args, f"{spec.kind}: valid, {payload['holes']} hole(s)", payload)
+        return EXIT_OK
+    verdict = certify_family(shape, spec, _budget_from_args(args))
+    payload["verdict"] = verdict.to_json_dict()
+    human = f"{spec.kind}: valid, {verdict.kind}"
+    if verdict.kind == "prime":
+        human += f" ({verdict.proof}; equality={verdict.equality})"
     _emit(args, human, payload)
-    return EXIT_OK
+    return _verdict_exit(verdict.equality)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridParseError, PolyominoError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExhausted as exc:

@@ -40,14 +40,8 @@ from .grid import (
     maximal_blocks,
     vertices,
 )
-from .ideals import ladder_marked_set, toric_map_marked
-from .toric import (
-    PROOF_LADDER,
-    PROOF_LCONFIG,
-    PROOF_MARKED,
-    PrimalityVerdict,
-    prove_prime,
-)
+from .ideals import toric_map_marked
+from .toric import PROOF_MARKED, PrimalityVerdict, feature_marking, prove_prime
 
 
 class ConditionViolated(ValueError):
@@ -313,15 +307,11 @@ def family_marked_set(p: Polyomino, spec: FamilySpec) -> tuple[frozenset[Point],
     """The marked vertex set certifying a family instance, plus its proof tag."""
     if spec.kind == "psc":
         path_shape = Polyomino.from_cells(spec.part("c"))
-        lconfigs = find_l_configurations(path_shape)
-        if lconfigs:
-            return frozenset(cell_vertices(lconfigs[0].corner_cell)), PROOF_LCONFIG
-        for ladder in find_ladders(path_shape, min_steps=3):
-            try:
-                return ladder_marked_set(ladder, p.cells), PROOF_LADDER
-            except ValueError:
-                continue
-        raise ConditionViolated(0, "path part has neither an L-configuration nor a 3-step ladder")
+        marking = feature_marking(p.cells, find_l_configurations(path_shape),
+                                  find_ladders(path_shape, min_steps=3))
+        if marking is None:
+            raise ConditionViolated(0, "path part has neither an L-configuration nor a 3-step ladder")
+        return marking
     r_cells = spec.part("r")
     n = max(y for _, y in r_cells) + 1
     base = frozenset(v for v in _vertex_set(r_cells) if v[0] <= 2 and v[1] <= n)

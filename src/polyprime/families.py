@@ -10,7 +10,6 @@ it loads the algebra (:mod:`polyprime.toric`, and with it
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
@@ -56,6 +55,8 @@ class CanonicalForm(Record):
         return Polyomino.from_cells(self.cells)
 
     def digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(json.dumps(self.cells).encode()).hexdigest()[:24]
 
 
@@ -67,6 +68,12 @@ def canonical_form(p: Polyomino) -> CanonicalForm:
 # ---------------------------------------------------------------------------
 # Closed-path enumeration
 # ---------------------------------------------------------------------------
+
+# Every path starts at the root and its right neighbor, and closes through
+# the root's upper neighbor.
+_ROOT: Cell = (0, 0)
+_CLOSER: Cell = (0, 1)
+
 
 def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     """Every closed path of rank <= max_rank, once per canonical form.
@@ -88,64 +95,54 @@ def enumerate_closed_paths(max_rank: int) -> Iterator[Polyomino]:
     """
     if max_rank < 8:
         raise ValueError("closed paths have rank at least 8")
-    root: Cell = (0, 0)
     second: Cell = (1, 0)
-    closer: Cell = (0, 1)
-    seen: set[CanonicalForm] = set()
+    yield from _extend_closed_path([_ROOT, second], {_ROOT: 0, second: 1}, set(), max_rank)
 
-    path: list[Cell] = [root, second]
-    position = {root: 0, second: 1}
 
-    def emit() -> Polyomino | None:
-        # Being a closed path is invariant under the dihedral group, so each
-        # canonical form needs its certificate checked only once.
-        shape = Polyomino.from_cells(path)
-        form = canonical_form(shape)
-        if form in seen:
-            return None
-        seen.add(form)
-        if closed_path_certificate(shape) is None:
-            return None
-        return form.polyomino()
 
-    def extend() -> Iterator[Polyomino]:
-        current = path[-1]
-        x, y = current
-        length = len(path)
-        for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-            if nxt in position:
-                continue
-            if nxt < root:
-                continue
-            if nxt == closer:
-                # Once the root's second neighbor is consumed the cycle is
-                # complete; growing through it can never close again.
-                if 5 <= length <= max_rank - 1:
-                    path.append(nxt)
-                    position[nxt] = length
-                    result = emit()
-                    if result is not None:
-                        yield result
-                    del position[nxt]
-                    path.pop()
-                continue
-            nx, ny = nxt
-            if length + 1 + abs(nx - closer[0]) + abs(ny - closer[1]) > max_rank:
-                continue
-            # Vertex window: positions 1 .. length - 3 may not touch nxt.
-            if any(
-                0 < position.get((nx + dx, ny + dy), 0) < length - 2
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-            ):
-                continue
-            path.append(nxt)
-            position[nxt] = length
-            yield from extend()
-            del position[nxt]
-            path.pop()
+def _extend_closed_path(path: list[Cell], position: dict[Cell, int],
+                        seen: set[CanonicalForm], max_rank: int) -> Iterator[Polyomino]:
+    """Depth-first step of :func:`enumerate_closed_paths` from a partial path.
 
-    yield from extend()
+    ``position`` maps each cell of ``path`` to its index, and ``seen`` holds
+    the canonical form of every cycle met so far; every branch restores
+    ``path`` and ``position`` before moving on.  The tables are passed in,
+    not captured: a recursive closure is a reference cycle, which would
+    keep them alive until the next full garbage collection.
+    """
+    x, y = path[-1]
+    length = len(path)
+    for nxt in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+        if nxt in position or nxt < _ROOT:
+            continue
+        if nxt == _CLOSER:
+            # Once the root's second neighbor is consumed the cycle is
+            # complete; growing through it can never close again.
+            if 5 <= length <= max_rank - 1:
+                shape = Polyomino.from_cells(path + [nxt])
+                form = canonical_form(shape)
+                # Being a closed path is invariant under the dihedral group,
+                # so each canonical form needs its certificate checked once.
+                if form not in seen:
+                    seen.add(form)
+                    if closed_path_certificate(shape) is not None:
+                        yield form.polyomino()
+            continue
+        nx, ny = nxt
+        if length + 1 + abs(nx - _CLOSER[0]) + abs(ny - _CLOSER[1]) > max_rank:
+            continue
+        # Vertex window: positions 1 .. length - 3 may not touch nxt.
+        if any(
+            0 < position.get((nx + dx, ny + dy), 0) < length - 2
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        ):
+            continue
+        path.append(nxt)
+        position[nxt] = length
+        yield from _extend_closed_path(path, position, seen, max_rank)
+        del position[nxt]
+        path.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +270,25 @@ def _cache_dir(explicit: str | None) -> Path | None:
     return path
 
 
-# Bump whenever a stored record could differ from what the current code
-# computes: a new record field, or a change to how verdicts are proved.
-CACHE_SCHEMA = 4
+def _code_digest() -> str:
+    """Digest of the package's sources, so a record computed by other code is never served."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def _cache_key(budget: Budget, certify: bool) -> dict:
     """What a stored record depends on besides the shape."""
     caps = [budget.max_pairs, budget.max_degree, budget.max_seconds] if certify else None
-    return {"schema": CACHE_SCHEMA, "certify": certify, "budget": caps}
+    return {"code": _code_digest(), "certify": certify, "budget": caps}
 
 
 def _cache_path(cache: Path, digest: str, key: dict) -> Path:
+    import hashlib
+
     tag = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
     return cache / f"{digest}-{tag}.json"
 
@@ -347,7 +351,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
         key=lambda cells: (len(cells), cells),
     )
     cache = _cache_dir(cache_dir)
-    key = _cache_key(budget, certify)
+    key = None if cache is None else _cache_key(budget, certify)
     records: list[ShapeRecord] = []
     pending: list[tuple[Cell, ...]] = []
     cached: dict[tuple[Cell, ...], ShapeRecord] = {}

@@ -67,11 +67,6 @@ def cell_neighbors(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
     return ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
 
 
-def points_comparable(p: Point, q: Point) -> bool:
-    """True iff p <= q or q <= p in the componentwise partial order."""
-    return (p[0] <= q[0] and p[1] <= q[1]) or (q[0] <= p[0] and q[1] <= p[1])
-
-
 def point_leq(p: Point, q: Point) -> bool:
     return p[0] <= q[0] and p[1] <= q[1]
 
@@ -237,12 +232,6 @@ class EdgeInterval(Record):
         if self.lo >= self.hi:
             raise ValueError("edge interval needs at least one unit edge")
 
-    @property
-    def endpoints(self) -> tuple[Point, Point]:
-        if self.orientation == HORIZONTAL:
-            return ((self.lo, self.line), (self.hi, self.line))
-        return ((self.line, self.lo), (self.line, self.hi))
-
     def contains_point(self, p: Point) -> bool:
         if self.orientation == HORIZONTAL:
             return p[1] == self.line and self.lo <= p[0] <= self.hi
@@ -336,42 +325,6 @@ def vertices(p: Polyomino) -> frozenset[Point]:
 def edges(p: Polyomino) -> frozenset[Edge]:
     """Union of the four edges of every cell."""
     return frozenset(e for c in p.cells for e in cell_edges(c))
-
-
-def border_edges(p: Polyomino) -> frozenset[Edge]:
-    """Edges belonging to exactly one cell of the polyomino."""
-    counts: dict[Edge, int] = {}
-    for c in p.cells:
-        for e in cell_edges(c):
-            counts[e] = counts.get(e, 0) + 1
-    return frozenset(e for e, n in counts.items() if n == 1)
-
-
-def walk_to_path(walk: list[Cell]) -> list[Cell]:
-    """Extract a repeat-free sub-walk with the same endpoints.
-
-    Consecutive input cells must share an edge; the output splices out the
-    stretch between any repeated cell and its earlier occurrence.
-    """
-    if not walk:
-        return []
-    for earlier, later in zip(walk, walk[1:]):
-        dx = abs(earlier[0] - later[0])
-        dy = abs(earlier[1] - later[1])
-        if dx + dy != 1:
-            raise ValueError(f"walk cells {earlier} and {later} do not share an edge")
-    path: list[Cell] = []
-    position: dict[Cell, int] = {}
-    for cell in walk:
-        if cell in position:
-            del path[position[cell] + 1:]
-            for dropped in list(position):
-                if position[dropped] > position[cell]:
-                    del position[dropped]
-        else:
-            position[cell] = len(path)
-            path.append(cell)
-    return path
 
 
 # The memos below are keyed by cell set.  A sweep analyses one shape at a

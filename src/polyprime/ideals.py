@@ -206,8 +206,8 @@ def toric_map_ladder(p: Polyomino, ladder: Ladder) -> ToricMap:
     """Toric map marking the reference corners of a maximal ladder of ``p``.
 
     Checks that ``ladder`` is one of the shape's; a caller that took it
-    from :func:`find_ladders` can call :func:`toric_map_marked` with
-    :func:`ladder_marked_set` instead.
+    from :func:`find_ladders` can call :func:`toric_map_marked` with the
+    marking of :func:`polyprime.toric.feature_marking` instead.
     """
     if ladder not in find_ladders(p, min_steps=2):
         raise ValueError("not a maximal ladder of this polyomino")

@@ -38,7 +38,7 @@ from .classify import (
     find_l_configurations,
     find_ladders,
 )
-from .grid import Polyomino, Record, cell_vertices, is_simple
+from .grid import Cell, Point, Polyomino, Record, cell_vertices, is_simple
 from .ideals import (
     ExponentBinomial,
     Mono,
@@ -717,22 +717,31 @@ def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None
         if not verify_zigzag(p, witness):
             raise CounterexampleFound("zig-zag search returned an invalid witness")
         return PrimalityVerdict("nonprime", witness=witness)
+    marking = feature_marking(p.cells, lconfigs, ladders)
+    if marking is None:
+        raise CounterexampleFound(
+            "no ladder admits the reference arrangement" if ladders else
+            "closed path with no zig-zag walk, no L-configuration, no 3-step ladder"
+        )
+    marked, proof = marking
+    return prove_prime(p, toric_map_marked(p, marked), proof, budget)
+
+
+def feature_marking(cells: frozenset[Cell], lconfigs: Sequence[LConfiguration],
+                    ladders: Sequence[Ladder]) -> tuple[frozenset[Point], str] | None:
+    """The marked vertex set and proof tag of the first usable feature, or ``None``.
+
+    The feature is the corner cell of the first L-configuration or, failing
+    that, the reference corners of the first of ``ladders`` (three steps or
+    more) that :func:`ladder_marked_set` can pose in the shape ``cells``.
+    A closed path is marked at its own features, and a family instance at
+    those of its path part.
+    """
     if lconfigs:
-        phi = toric_map_marked(p, cell_vertices(lconfigs[0].corner_cell))
-        proof = PROOF_LCONFIG
-    else:
-        if not ladders:
-            raise CounterexampleFound(
-                "closed path with no zig-zag walk, no L-configuration, no 3-step ladder"
-            )
-        phi = None
-        for ladder in ladders:
-            try:
-                phi = toric_map_marked(p, ladder_marked_set(ladder, p.cells))
-                break
-            except ValueError:
-                continue
-        if phi is None:
-            raise CounterexampleFound("no ladder admits the reference arrangement")
-        proof = PROOF_LADDER
-    return prove_prime(p, phi, proof, budget)
+        return frozenset(cell_vertices(lconfigs[0].corner_cell)), PROOF_LCONFIG
+    for ladder in ladders:
+        try:
+            return ladder_marked_set(ladder, cells), PROOF_LADDER
+        except ValueError:
+            continue
+    return None

@@ -213,6 +213,22 @@ def test_family_psc_command(tmp_path, capsys, psc_instance):
     assert result["holes"] == 1
 
 
+def test_family_budget_stop_exits_like_certify(capsys):
+    # A containment-only verdict exits 3 from both commands.
+    argv = ["--certify", "--budget-pairs", "5"]
+    assert main(["family", str(SHAPES / "good_l_rectangle.json"), *argv]) == 3
+    assert "equality=containment-only" in capsys.readouterr().out
+    assert main(["certify", str(SHAPES / "frame3.grid"), *argv[1:]]) == 3
+    assert "equality=containment-only" in capsys.readouterr().out
+
+
+def test_family_spec_missing_a_part_exit4(tmp_path, capsys):
+    path = tmp_path / "no_core.json"
+    path.write_text(json.dumps({"kind": "psc", "c": [[0, 0]], "t1": [[1, 1]], "t2": [[2, 2]]}))
+    assert main(["family", str(path)]) == 4
+    assert capsys.readouterr().err == 'input error: expected an object with a "s" key\n'
+
+
 def test_family_spec_not_an_object_exit4(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -403,6 +403,17 @@ def test_shape_analysis_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_enumeration_leaves_no_reference_cycles():
+    # The set of every canonical form met must go with the enumeration.
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_closed_paths(16))) == 35
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # (hits, misses) of one sweep of rank <= 16 from empty memos, with and
 # without certification.  A smaller bound must not lose a hit.
 MEMO_WORK = {
@@ -447,7 +458,7 @@ PUBLIC_NAMES = (
     "maximal_edge_intervals", "open_path_certificate", "parse_grid", "parse_shape_json",
     "toric", "toric_ideal", "toric_map_ladder", "toric_map_lconfig", "toric_map_marked",
     "trimino_certificate", "verify_main_theorem", "verify_zigzag", "vertex_name",
-    "vertex_order", "vertices", "walk_to_path", "zigzag",
+    "vertex_order", "vertices", "zigzag",
 )
 
 
@@ -459,7 +470,7 @@ def _loaded_after(work: str) -> list[str]:
     src = str(Path(polyprime.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "ast",
-                "typing", *ALGEBRA}
+                "typing", "hashlib", *ALGEBRA}
     probe = (f"import json, sys, polyprime\n{work}\n"
              f"print(json.dumps(sorted({unwanted!r} & set(sys.modules))))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
@@ -607,7 +618,8 @@ def test_verify_cache_keys_on_schema(tmp_path, monkeypatch):
         path.write_text(json.dumps(data))
     served = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
     assert all(rec.verdict["notes"] == ["forged"] for rec in served.records)
-    monkeypatch.setattr(families, "CACHE_SCHEMA", families.CACHE_SCHEMA + 1)
+    # Any edit to the package's sources changes the digest the records are keyed by.
+    monkeypatch.setattr(families, "_code_digest", lambda: "edited sources")
     fresh = verify_main_theorem(10, Budget(max_pairs=1), cache_dir=str(tmp_path))
     assert all(rec.verdict["notes"] != ["forged"] for rec in fresh.records)
 

@@ -4,7 +4,6 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
 
 from polyprime.classify import ClosedPathCert, LConfiguration, Ladder, OpenPath, Trimino
 from polyprime.composites import FamilySpec
@@ -20,7 +19,6 @@ from polyprime.grid import (
     Polyomino,
     TRANSFORM_NAMES,
     VERTICAL,
-    border_edges,
     edges,
     format_grid,
     format_shape_json,
@@ -34,7 +32,6 @@ from polyprime.grid import (
     parse_shape_json,
     transform_polyomino,
     vertices,
-    walk_to_path,
 )
 from polyprime.ideals import ToricMap
 from polyprime.toric import Budget, PrimalityVerdict
@@ -69,37 +66,6 @@ def test_polyomino_construction_errors():
         Polyomino.from_cells([])
     with pytest.raises(DisconnectedCellsError):
         Polyomino.from_cells([(0, 0), (2, 0)])
-
-
-def test_walk_to_path_splices_repeat():
-    assert walk_to_path([(0, 0), (1, 0), (0, 0), (0, 1)]) == [(0, 0), (0, 1)]
-
-
-def test_walk_to_path_identity_on_path():
-    path = [(0, 0), (1, 0), (1, 1), (2, 1)]
-    assert walk_to_path(path) == path
-
-
-def test_walk_to_path_backtrack():
-    assert walk_to_path([(0, 0), (1, 0), (1, 1), (1, 0), (2, 0)]) == [(0, 0), (1, 0), (2, 0)]
-
-
-def test_walk_to_path_rejects_jumps():
-    with pytest.raises(ValueError):
-        walk_to_path([(0, 0), (2, 0)])
-
-
-@given(st.lists(st.sampled_from([(0, 1), (0, -1), (1, 0), (-1, 0)]), min_size=1, max_size=40))
-def test_walk_to_path_properties(steps):
-    walk = [(0, 0)]
-    for dx, dy in steps:
-        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
-    path = walk_to_path(walk)
-    assert path[0] == walk[0] and path[-1] == walk[-1]
-    assert len(set(path)) == len(path)
-    for a, b in zip(path, path[1:]):
-        assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-    assert set(path) <= set(walk)
 
 
 def test_holes_frame3(frame3):
@@ -212,19 +178,11 @@ def test_maximal_blocks_single_cell():
     assert [b.length for b in maximal_blocks(single, HORIZONTAL)] == [1]
 
 
-def test_border_edges_counts(frame3):
-    # A cell ring: every cell contributes two border edges on the outside
-    # plus two on the hole side shared with nobody.
-    assert len(border_edges(frame3)) == 12 + 4
-
-
 def test_point_order_helpers():
-    from polyprime.grid import point_leq, points_comparable
+    from polyprime.grid import point_leq
 
     assert point_leq((0, 0), (1, 2))
     assert not point_leq((1, 0), (0, 2))
-    assert points_comparable((1, 2), (0, 0))
-    assert not points_comparable((1, 0), (0, 2))
 
 
 def test_interval_accessors():

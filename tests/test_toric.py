@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyprime.classify import find_l_configurations, find_ladders
-from polyprime.grid import Polyomino
+from polyprime.grid import Polyomino, cell_vertices
 from polyprime.ideals import (
     check_containment,
     inner_minors,
+    ladder_marked_set,
     toric_map_ladder,
     toric_map_lconfig,
     toric_map_marked,
@@ -26,6 +29,7 @@ from polyprime.toric import (
     buchberger_engine,
     certify_primality,
     check_saturated,
+    feature_marking,
     integer_kernel,
     lattice_ideal_engine,
     lattice_rank_and_index,
@@ -480,6 +484,14 @@ def test_budget_caps_the_whole_saturation_check(frame3):
     assert verdict.notes[0].startswith("budget exhausted: pair cap (saturation check, x_")
 
 
+def test_budget_stop_message_names_the_phase_once_set():
+    exc = BudgetExhausted("pair cap", 473, 8)
+    assert str(exc) == "pair cap (pairs=473, max degree seen=8)"
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+    exc.phase = "saturation, x_0_1"
+    assert str(exc) == "pair cap (saturation, x_0_1; pairs=473, max degree seen=8)"
+
+
 # --- reduced bases compare ideals -------------------------------------------
 
 def test_reduced_basis_sign_normalized():
@@ -581,6 +593,26 @@ def test_certify_nonprime_diamond(diamond16):
     verdict = certify_primality(diamond16, Budget(max_pairs=1))
     assert verdict.kind == "nonprime"
     assert verdict.witness is not None
+
+
+def _feature_marking(shape):
+    return feature_marking(shape.cells, find_l_configurations(shape),
+                           find_ladders(shape, min_steps=3))
+
+
+def test_feature_marking_takes_the_first_l_configuration(frame3):
+    corner = find_l_configurations(frame3)[0].corner_cell
+    assert _feature_marking(frame3) == (frozenset(cell_vertices(corner)), "lconfig-toric")
+
+
+def test_feature_marking_falls_back_to_a_ladder(ring22):
+    assert not find_l_configurations(ring22)
+    ladder = find_ladders(ring22, min_steps=3)[0]
+    assert _feature_marking(ring22) == (ladder_marked_set(ladder, ring22.cells), "ladder-toric")
+
+
+def test_feature_marking_without_a_feature_is_none(diamond16):
+    assert _feature_marking(diamond16) is None
 
 
 def test_certify_rejects_unsupported_shapes(psc_instance):
