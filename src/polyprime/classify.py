@@ -22,6 +22,7 @@ from .grid import (
     cell_vertices,
     edge_interval_through,
     maximal_blocks,
+    vertices,
 )
 
 
@@ -185,7 +186,7 @@ def find_l_configurations(p: Polyomino) -> list[LConfiguration]:
 
 def _block_contact(b1: Block, b2: Block) -> tuple[Point, Point] | None:
     """The two shared vertices of the blocks, if they share exactly two."""
-    shared = sorted(b1.vertices() & b2.vertices())
+    shared = sorted(vertices(b1.cells) & vertices(b2.cells))
     if len(shared) != 2:
         return None
     return (shared[0], shared[1])

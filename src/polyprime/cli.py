@@ -125,28 +125,22 @@ def _cmd_zigzag(args: argparse.Namespace) -> int:
 
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
-    from .ideals import (
-        export_generators,
-        inner_minors,
-        toric_map_lconfig,
-        toric_map_marked,
-        vertex_name,
-        vertex_order,
-    )
-    from .toric import toric_ideal
+    from .ideals import export_generators, inner_minors, toric_map_marked, vertex_name, vertex_order
+    from .toric import feature_marking, toric_ideal
 
     shape = _read_shape(args.shape, args.format)
     names = [vertex_name(v) for v in vertex_order(shape)]
     out = export_generators(names, inner_minors(shape))
     if args.toric:
+        marked = ()
         if args.marked == "lconfig":
-            lconfigs = find_l_configurations(shape)
-            if not lconfigs:
+            # The L-configuration comes from the shape's own scan, so the map needs no re-check.
+            marking = feature_marking(shape.cells, find_l_configurations(shape), ())
+            if marking is None:
                 raise ValueError("--marked lconfig needs an L-configuration, "
                                  "and the shape has none")
-            phi = toric_map_lconfig(shape, lconfigs[0])
-        else:
-            phi = toric_map_marked(shape, ())
+            marked = marking[0]
+        phi = toric_map_marked(shape, marked)
         basis = toric_ideal(phi.entries, _budget_from_args(args), names)
         out += "\n" + export_generators(names, basis)
     sys.stdout.write(out)

@@ -11,7 +11,6 @@ module belongs to the algebraic layer: importing it loads
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 
 from .budget import Budget, UNLIMITED
 from .classify import (
@@ -33,7 +32,6 @@ from .grid import (
     VERTICAL,
     cell_edges,
     cell_list,
-    cell_vertices,
     edge_interval_through,
     edges,
     is_simple,
@@ -65,14 +63,6 @@ class FamilySpec(Record):
         raise KeyError(name)
 
 
-def _edge_set(cells: Iterable[Cell]) -> frozenset:
-    return frozenset(e for c in cells for e in cell_edges(c))
-
-
-def _vertex_set(cells: Iterable[Cell]) -> frozenset[Point]:
-    return frozenset(v for c in cells for v in cell_vertices(c))
-
-
 def build_psc(s: Polyomino, c: OpenPath, t1: Trimino, t2: Trimino) -> tuple[Polyomino, FamilySpec]:
     """Assemble simple core + open path + two hooking triminoes.
 
@@ -86,19 +76,19 @@ def build_psc(s: Polyomino, c: OpenPath, t1: Trimino, t2: Trimino) -> tuple[Poly
     for t in (t1, t2):
         if trimino_certificate(Polyomino.from_cells(t.cells)) is None:
             raise ConditionViolated(1, "hook part is not a trimino")
-    vs, vc = vertices(s), _vertex_set(c.cells)
-    vt1, vt2 = _vertex_set(t1.cells), _vertex_set(t2.cells)
+    vs, vc = vertices(s), vertices(c.cells)
+    vt1, vt2 = vertices(t1.cells), vertices(t2.cells)
     if vs & vc:
         raise ConditionViolated(2, "core and path share vertices")
     if vt1 & vt2:
         raise ConditionViolated(2, "the two hooks share vertices")
-    es, ec = edges(s), _edge_set(c.cells)
+    es, ec = edges(s), edges(c.cells)
     first_cell_edges = set(cell_edges(c.cells[0]))
     last_cell_edges = set(cell_edges(c.cells[-1]))
     for idx, (t, vt, hook_end_edges) in enumerate(
         ((t1, vt1, first_cell_edges), (t2, vt2, last_cell_edges))
     ):
-        et = _edge_set(t.cells)
+        et = edges(t.cells)
         with_s = es & et
         if len(with_s) != 1:
             raise ConditionViolated(3, f"hook {idx + 1} must share exactly one edge with the core")
@@ -171,7 +161,7 @@ def build_rectangle_linked(
         if open_path_certificate(Polyomino.from_cells(path.cells)) is None:
             raise ConditionViolated(1, "path part is not an open path")
     vr, vs = vertices(r), vertices(s)
-    vp1, vp2 = _vertex_set(p1.cells), _vertex_set(p2.cells)
+    vp1, vp2 = vertices(p1.cells), vertices(p2.cells)
     if vs & vr:
         raise ConditionViolated(2, "rectangle and linked shape share vertices")
     if vp1 & vp2:
@@ -181,7 +171,7 @@ def build_rectangle_linked(
     if vp1 & vr != {(1, n), (2, n)}:
         raise ConditionViolated(3, "first path must touch the rectangle in exactly its start edge")
     er, es = edges(r), edges(s)
-    ep1, ep2 = _edge_set(p1.cells), _edge_set(p2.cells)
+    ep1, ep2 = edges(p1.cells), edges(p2.cells)
     shared_t = ep1 & es
     if len(shared_t) != 1 or next(iter(shared_t)) not in p1.free_edges(-1):
         raise ConditionViolated(4, "first path must meet the linked shape in one free end edge")
@@ -314,7 +304,7 @@ def family_marked_set(p: Polyomino, spec: FamilySpec) -> tuple[frozenset[Point],
         return marking
     r_cells = spec.part("r")
     n = max(y for _, y in r_cells) + 1
-    base = frozenset(v for v in _vertex_set(r_cells) if v[0] <= 2 and v[1] <= n)
+    base = frozenset(v for v in vertices(r_cells) if v[0] <= 2 and v[1] <= n)
     if spec.kind == "good-l-rectangle":
         if not check_good_l_rectangle(p, spec):
             raise ConditionViolated(0, "instance is not good: required cells are missing")

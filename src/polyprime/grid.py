@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import cached_property
 from operator import attrgetter
 
 Point = tuple[int, int]
@@ -256,12 +256,16 @@ class Block(Record):
     def length(self) -> int:
         return len(self.cells)
 
-    def vertices(self) -> frozenset[Point]:
-        return frozenset(v for c in self.cells for v in cell_vertices(c))
-
 
 class Polyomino(Record):
-    """Finite, nonempty, edge-connected set of cells."""
+    """Finite, nonempty, edge-connected set of cells.
+
+    The shape holds the tables derived from its cells (holes, inner
+    intervals, and maximal edge intervals and blocks of each orientation),
+    each built when a function of this module first asks for it.
+    ``cached_property`` keeps a table in the instance ``__dict__``, so it
+    lives exactly as long as the shape and is no part of its value.
+    """
 
     cells: frozenset[Cell]
 
@@ -296,6 +300,123 @@ class Polyomino(Record):
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.sorted_cells())
 
+    @cached_property
+    def _holes(self) -> tuple[frozenset[Cell], ...]:
+        cells = self.cells
+        xs = [c[0] for c in cells]
+        ys = [c[1] for c in cells]
+        lox, hix = min(xs) - 1, max(xs) + 1
+        loy, hiy = min(ys) - 1, max(ys) + 1
+        # Flood the exterior from the inflated border ring.
+        outside: set[Cell] = set()
+        stack: list[Cell] = []
+        for x in range(lox, hix + 1):
+            for y in (loy, hiy):
+                if (x, y) not in cells:
+                    stack.append((x, y))
+        for y in range(loy, hiy + 1):
+            for x in (lox, hix):
+                if (x, y) not in cells:
+                    stack.append((x, y))
+        while stack:
+            current = stack.pop()
+            if current in outside:
+                continue
+            outside.add(current)
+            for nb in cell_neighbors(current):
+                if lox <= nb[0] <= hix and loy <= nb[1] <= hiy and nb not in cells and nb not in outside:
+                    stack.append(nb)
+        # Remaining complement cells inside the box are hole cells.
+        hole_cells = {
+            (x, y)
+            for x in range(lox, hix + 1)
+            for y in range(loy, hiy + 1)
+            if (x, y) not in cells and (x, y) not in outside
+        }
+        components: list[frozenset[Cell]] = []
+        while hole_cells:
+            seed = min(hole_cells)
+            comp = {seed}
+            stack = [seed]
+            while stack:
+                current = stack.pop()
+                for nb in cell_neighbors(current):
+                    if nb in hole_cells and nb not in comp:
+                        comp.add(nb)
+                        stack.append(nb)
+            hole_cells -= comp
+            components.append(frozenset(comp))
+        components.sort(key=lambda comp: min(comp))
+        return tuple(components)
+
+    @cached_property
+    def _inner_intervals(self) -> tuple[Interval, ...]:
+        cells = self.cells
+        found: list[Interval] = []
+        sorted_cells = sorted(cells)
+        for low in sorted_cells:
+            for high in sorted_cells:
+                if high[0] < low[0] or high[1] < low[1]:
+                    continue
+                if all(
+                    (x, y) in cells
+                    for x in range(low[0], high[0] + 1)
+                    for y in range(low[1], high[1] + 1)
+                ):
+                    found.append(Interval(low, (high[0] + 1, high[1] + 1)))
+        found.sort()
+        return tuple(found)
+
+    # The tables of one orientation, each built on first use.
+    _horizontal_edge_intervals = cached_property(lambda self: self._build_edge_intervals(HORIZONTAL))
+    _vertical_edge_intervals = cached_property(lambda self: self._build_edge_intervals(VERTICAL))
+    _horizontal_blocks = cached_property(lambda self: self._build_blocks(HORIZONTAL))
+    _vertical_blocks = cached_property(lambda self: self._build_blocks(VERTICAL))
+
+    def _build_edge_intervals(self, orientation: Orientation) -> tuple[EdgeInterval, ...]:
+        # Bucket unit edges by their fixed line, then merge contiguous runs.
+        runs: dict[int, set[int]] = {}
+        for x, y in self.cells:
+            if orientation == HORIZONTAL:
+                runs.setdefault(y, set()).add(x)
+                runs.setdefault(y + 1, set()).add(x)
+            else:
+                runs.setdefault(x, set()).add(y)
+                runs.setdefault(x + 1, set()).add(y)
+        intervals: list[EdgeInterval] = []
+        for line in sorted(runs):
+            offsets = sorted(runs[line])
+            start = prev = offsets[0]
+            for k in offsets[1:]:
+                if k == prev + 1:
+                    prev = k
+                    continue
+                intervals.append(EdgeInterval(orientation, line, start, prev + 1))
+                start = prev = k
+            intervals.append(EdgeInterval(orientation, line, start, prev + 1))
+        return tuple(intervals)
+
+    def _build_blocks(self, orientation: Orientation) -> tuple[Block, ...]:
+        blocks: list[Block] = []
+        if orientation == HORIZONTAL:
+            keyed = sorted(self.cells, key=lambda c: (c[1], c[0]))
+            same_line = lambda a, b: a[1] == b[1] and b[0] == a[0] + 1
+        else:
+            keyed = sorted(self.cells, key=lambda c: (c[0], c[1]))
+            same_line = lambda a, b: a[0] == b[0] and b[1] == a[1] + 1
+        run: list[Cell] = []
+        for cell in keyed:
+            if run and same_line(run[-1], cell):
+                run.append(cell)
+            else:
+                if run:
+                    blocks.append(Block(orientation, tuple(run)))
+                run = [cell]
+        if run:
+            blocks.append(Block(orientation, tuple(run)))
+        blocks.sort()
+        return tuple(blocks)
+
 
 def is_connected(cells: Iterable[Cell]) -> bool:
     """True iff the edge-adjacency graph on the cell set is connected.
@@ -317,113 +438,37 @@ def is_connected(cells: Iterable[Cell]) -> bool:
     return len(seen) == len(cellset)
 
 
-def vertices(p: Polyomino) -> frozenset[Point]:
-    """Union of the four corners of every cell."""
-    return frozenset(v for c in p.cells for v in cell_vertices(c))
+def vertices(cells: Iterable[Cell]) -> frozenset[Point]:
+    """Union of the four corners of every cell (of a polyomino, or any cells)."""
+    return frozenset(v for c in cells for v in cell_vertices(c))
 
 
-def edges(p: Polyomino) -> frozenset[Edge]:
-    """Union of the four edges of every cell."""
-    return frozenset(e for c in p.cells for e in cell_edges(c))
-
-
-# The memos below are keyed by cell set.  A sweep analyses one shape at a
-# time and every hit comes from the shape under analysis, so a few entries
-# keep all the hits; a larger table would only hold finished shapes alive.
-_SHAPE_MEMO_SIZE = 16
-
-
-@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
-def _holes(cells: frozenset[Cell]) -> tuple[frozenset[Cell], ...]:
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    lox, hix = min(xs) - 1, max(xs) + 1
-    loy, hiy = min(ys) - 1, max(ys) + 1
-    # Flood the exterior from the inflated border ring.
-    outside: set[Cell] = set()
-    stack: list[Cell] = []
-    for x in range(lox, hix + 1):
-        for y in (loy, hiy):
-            if (x, y) not in cells:
-                stack.append((x, y))
-    for y in range(loy, hiy + 1):
-        for x in (lox, hix):
-            if (x, y) not in cells:
-                stack.append((x, y))
-    while stack:
-        current = stack.pop()
-        if current in outside:
-            continue
-        outside.add(current)
-        for nb in cell_neighbors(current):
-            if lox <= nb[0] <= hix and loy <= nb[1] <= hiy and nb not in cells and nb not in outside:
-                stack.append(nb)
-    # Remaining complement cells inside the box are hole cells.
-    hole_cells = {
-        (x, y)
-        for x in range(lox, hix + 1)
-        for y in range(loy, hiy + 1)
-        if (x, y) not in cells and (x, y) not in outside
-    }
-    components: list[frozenset[Cell]] = []
-    while hole_cells:
-        seed = min(hole_cells)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            current = stack.pop()
-            for nb in cell_neighbors(current):
-                if nb in hole_cells and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        hole_cells -= comp
-        components.append(frozenset(comp))
-    components.sort(key=lambda comp: min(comp))
-    return tuple(components)
+def edges(cells: Iterable[Cell]) -> frozenset[Edge]:
+    """Union of the four edges of every cell (of a polyomino, or any cells)."""
+    return frozenset(e for c in cells for e in cell_edges(c))
 
 
 def holes(p: Polyomino) -> list[Polyomino]:
     """Connected components of the enclosed complement, one polyomino each."""
-    return [Polyomino(comp) for comp in _holes(p.cells)]
+    return [Polyomino(comp) for comp in p._holes]
 
 
 def is_simple(p: Polyomino) -> bool:
-    return not _holes(p.cells)
+    return not p._holes
 
 
-@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
-def _maximal_edge_intervals(cells: frozenset[Cell], orientation: Orientation) -> tuple[EdgeInterval, ...]:
-    # Bucket unit edges by their fixed line, then merge contiguous runs.
-    runs: dict[int, set[int]] = {}
-    for x, y in cells:
-        if orientation == HORIZONTAL:
-            runs.setdefault(y, set()).add(x)
-            runs.setdefault(y + 1, set()).add(x)
-        else:
-            runs.setdefault(x, set()).add(y)
-            runs.setdefault(x + 1, set()).add(y)
-    intervals: list[EdgeInterval] = []
-    for line in sorted(runs):
-        offsets = sorted(runs[line])
-        start = prev = offsets[0]
-        for k in offsets[1:]:
-            if k == prev + 1:
-                prev = k
-                continue
-            intervals.append(EdgeInterval(orientation, line, start, prev + 1))
-            start = prev = k
-        intervals.append(EdgeInterval(orientation, line, start, prev + 1))
-    return tuple(intervals)
+def _edge_intervals(p: Polyomino, orientation: Orientation) -> tuple[EdgeInterval, ...]:
+    return p._horizontal_edge_intervals if orientation == HORIZONTAL else p._vertical_edge_intervals
 
 
 def maximal_edge_intervals(p: Polyomino, orientation: Orientation) -> list[EdgeInterval]:
     """All maximal edge intervals of one orientation, sorted by (line, lo)."""
-    return list(_maximal_edge_intervals(p.cells, orientation))
+    return list(_edge_intervals(p, orientation))
 
 
 def edge_interval_through(p: Polyomino, point: Point, orientation: Orientation) -> EdgeInterval | None:
     """The unique maximal edge interval of the orientation containing the point."""
-    for interval in _maximal_edge_intervals(p.cells, orientation):
+    for interval in _edge_intervals(p, orientation):
         if interval.contains_point(point):
             return interval
     return None
@@ -432,32 +477,14 @@ def edge_interval_through(p: Polyomino, point: Point, orientation: Orientation) 
 def on_common_edge_interval(p: Polyomino, a: Point, b: Point) -> bool:
     """True iff some maximal edge interval of the polyomino contains both points."""
     if a[1] == b[1]:
-        for interval in _maximal_edge_intervals(p.cells, HORIZONTAL):
+        for interval in p._horizontal_edge_intervals:
             if interval.contains_point(a) and interval.contains_point(b):
                 return True
     if a[0] == b[0]:
-        for interval in _maximal_edge_intervals(p.cells, VERTICAL):
+        for interval in p._vertical_edge_intervals:
             if interval.contains_point(a) and interval.contains_point(b):
                 return True
     return False
-
-
-@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
-def _inner_intervals(cells: frozenset[Cell]) -> tuple[Interval, ...]:
-    found: list[Interval] = []
-    sorted_cells = sorted(cells)
-    for low in sorted_cells:
-        for high in sorted_cells:
-            if high[0] < low[0] or high[1] < low[1]:
-                continue
-            if all(
-                (x, y) in cells
-                for x in range(low[0], high[0] + 1)
-                for y in range(low[1], high[1] + 1)
-            ):
-                found.append(Interval(low, (high[0] + 1, high[1] + 1)))
-    found.sort()
-    return tuple(found)
 
 
 def inner_intervals(p: Polyomino) -> list[Interval]:
@@ -465,35 +492,12 @@ def inner_intervals(p: Polyomino) -> list[Interval]:
 
     Output is sorted lexicographically by (a, b).
     """
-    return list(_inner_intervals(p.cells))
-
-
-@lru_cache(maxsize=_SHAPE_MEMO_SIZE)
-def _maximal_blocks(cells: frozenset[Cell], orientation: Orientation) -> tuple[Block, ...]:
-    blocks: list[Block] = []
-    if orientation == HORIZONTAL:
-        keyed = sorted(cells, key=lambda c: (c[1], c[0]))
-        same_line = lambda a, b: a[1] == b[1] and b[0] == a[0] + 1
-    else:
-        keyed = sorted(cells, key=lambda c: (c[0], c[1]))
-        same_line = lambda a, b: a[0] == b[0] and b[1] == a[1] + 1
-    run: list[Cell] = []
-    for cell in keyed:
-        if run and same_line(run[-1], cell):
-            run.append(cell)
-        else:
-            if run:
-                blocks.append(Block(orientation, tuple(run)))
-            run = [cell]
-    if run:
-        blocks.append(Block(orientation, tuple(run)))
-    blocks.sort()
-    return tuple(blocks)
+    return list(p._inner_intervals)
 
 
 def maximal_blocks(p: Polyomino, orientation: Orientation) -> list[Block]:
     """Maximal runs of consecutive collinear cells; each cell in exactly one."""
-    return list(_maximal_blocks(p.cells, orientation))
+    return list(p._horizontal_blocks if orientation == HORIZONTAL else p._vertical_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ the captured output).  Criterion 7 re-runs the computations behind criteria
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -263,3 +264,17 @@ def test_criterion_7_determinism(first_run):
         second_bytes = json.dumps(second[name], sort_keys=True).encode()
         assert first_bytes == second_bytes, f"report {name} not byte-stable"
     print("\nACCEPTANCE 7 PASS criteria 1-4 reports byte-identical across runs")
+
+
+# SHA-256 of the sweep reports, pinned so a refactor that changes any byte
+# of them fails here; the digests do not depend on PYTHONHASHSEED.
+REPORT_DIGESTS = {
+    (14, True): "67b90577e04b476a45f1f514edafe21eba630119efcfa71068b43b168c9dd28e",
+    (16, False): "83e82e4461af32996fd5f7e4af91f33fcab725e9ed8d31e822ee9fd66559df5b",
+}
+
+
+@pytest.mark.parametrize("max_rank, certify", sorted(REPORT_DIGESTS))
+def test_sweep_report_bytes_are_pinned(max_rank, certify):
+    report = verify_main_theorem(max_rank, certify=certify).to_json_lines()
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[max_rank, certify]

@@ -26,6 +26,7 @@ from polyprime.grid import (
     on_common_edge_interval,
     transform_cells,
     transform_polyomino,
+    vertices,
 )
 
 from conftest import rectangle
@@ -113,7 +114,7 @@ def ladders_bruteforce(p: Polyomino, min_steps: int) -> set[tuple]:
         blocks = [b for b in maximal_blocks(p, orientation) if b.length >= 2]
 
         def contact(i, j):
-            shared = sorted(blocks[i].vertices() & blocks[j].vertices())
+            shared = sorted(vertices(blocks[i].cells) & vertices(blocks[j].cells))
             return tuple(shared) if len(shared) == 2 else None
 
         def valid(chain):
@@ -201,7 +202,7 @@ def test_parallel_maximal_blocks_share_zero_or_two_vertices():
             blocks = maximal_blocks(shape, orientation)
             for i in range(len(blocks)):
                 for j in range(i + 1, len(blocks)):
-                    shared = sorted(blocks[i].vertices() & blocks[j].vertices())
+                    shared = sorted(vertices(blocks[i].cells) & vertices(blocks[j].cells))
                     assert len(shared) in (0, 2)
                     if shared:
                         (ax, ay), (bx, by) = shared

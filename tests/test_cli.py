@@ -105,12 +105,24 @@ def test_ideal_export(frame3_grid, capsys):
     assert len(out.strip().splitlines()) == 21  # header + 20 minors
 
 
-def test_ideal_with_toric(capsys):
+def test_ideal_with_toric(monkeypatch, capsys):
     # The whole stdout, the minors and then the kernel basis, byte for byte.
-    for marked in ("none", "lconfig"):
+    # The lconfig marking scans the shape for L-configurations once, and
+    # builds the map from the one it found without checking it again.
+    from polyprime import cli, ideals, toric
+
+    scans = []
+    for module in (cli, ideals, toric):
+        original = getattr(module, "find_l_configurations", None)
+        if original is not None:
+            monkeypatch.setattr(module, "find_l_configurations",
+                                lambda p, _f=original: scans.append(p) or _f(p))
+    for marked, scan_count in (("none", 0), ("lconfig", 1)):
+        scans.clear()
         assert main(["ideal", str(SHAPES / "frame3.grid"), "--toric", "--marked", marked]) == 0
         expected = (DATA / f"frame3_ideal_toric_{marked}.txt").read_text()
         assert capsys.readouterr().out == expected
+        assert len(scans) == scan_count, marked
 
 
 def test_ideal_toric_budget_caps_the_whole_kernel_computation(capsys):

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import polyprime
-from polyprime import grid
+from polyprime import classify, cli, composites, families, grid, ideals, toric, zigzag
 from polyprime.classify import OpenPath, closed_path_certificate, trimino_certificate
 from polyprime.composites import (
     ConditionViolated,
@@ -28,10 +30,15 @@ from polyprime.families import (
     verify_main_theorem,
 )
 from polyprime.grid import (
+    HORIZONTAL,
     Polyomino,
     TRANSFORM_NAMES,
+    VERTICAL,
     holes,
+    inner_intervals,
     is_simple,
+    maximal_blocks,
+    maximal_edge_intervals,
     parse_grid,
     transform_polyomino,
     vertices,
@@ -414,26 +421,49 @@ def test_enumeration_leaves_no_reference_cycles():
         gc.enable()
 
 
-# (hits, misses) of one sweep of rank <= 16 from empty memos, with and
-# without certification.  A smaller bound must not lose a hit.
-MEMO_WORK = {
-    False: {"_holes": (35, 35), "_maximal_blocks": (35, 70),
-            "_inner_intervals": (42, 35), "_maximal_edge_intervals": (111, 13)},
-    True: {"_holes": (35, 35), "_maximal_blocks": (35, 70),
-           "_inner_intervals": (83, 35), "_maximal_edge_intervals": (126, 70)},
+# Tables of each kind that one sweep of rank <= 16 builds, with and without
+# certification: one per shape (two for blocks, one per orientation) that
+# reads it, so every layer reads the tables of one Polyomino value.
+TABLE_BUILDS = {
+    False: {"holes": 35, "blocks": 70, "inner intervals": 35, "edge intervals": 13},
+    True: {"holes": 35, "blocks": 70, "inner intervals": 35, "edge intervals": 70},
+}
+TABLES = {
+    "_holes": "holes", "_inner_intervals": "inner intervals",
+    "_horizontal_blocks": "blocks", "_vertical_blocks": "blocks",
+    "_horizontal_edge_intervals": "edge intervals", "_vertical_edge_intervals": "edge intervals",
 }
 
 
 @pytest.mark.parametrize("certify", [False, True])
-def test_grid_memos_hold_less_than_a_sweep_and_keep_every_hit(certify):
-    memos = {name: getattr(grid, name) for name in MEMO_WORK[certify]}
-    for memo in memos.values():
-        memo.cache_clear()
-    shapes = len(verify_main_theorem(16, certify=certify).records)
-    for name, memo in memos.items():
-        info = memo.cache_info()
-        assert info.currsize <= info.maxsize < shapes, name
-        assert (info.hits, info.misses) == MEMO_WORK[certify][name], name
+def test_a_sweep_builds_each_table_once_per_shape(certify, monkeypatch):
+    builds = Counter()
+    for attr, kind in TABLES.items():
+        table = vars(Polyomino)[attr]
+
+        def counted(shape, build=table.func, kind=kind):
+            builds[kind] += 1
+            return build(shape)
+
+        monkeypatch.setattr(table, "func", counted)
+    verify_main_theorem(16, certify=certify)
+    assert builds == TABLE_BUILDS[certify]
+
+
+def test_a_shape_frees_its_tables_with_it(frame3):
+    shape = Polyomino(frame3.cells)
+    holes(shape), inner_intervals(shape)
+    for orientation in (HORIZONTAL, VERTICAL):
+        maximal_blocks(shape, orientation), maximal_edge_intervals(shape, orientation)
+    refs = [weakref.ref(vars(shape)[attr][0]) for attr in TABLES]
+    del shape
+    assert [ref() for ref in refs] == [None] * len(TABLES)
+
+
+def test_no_module_holds_a_memo():
+    for module in (polyprime, grid, classify, zigzag, families, ideals, toric, composites, cli):
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_clear"), f"{module.__name__}.{name}"
 
 
 # The algebraic layer and the composite families: the structural layer

@@ -295,6 +295,18 @@ def test_record_value_semantics(cls, fields, text):
         assert type(twin) is cls and twin == record and repr(twin) == text
 
 
+def test_a_shapes_tables_are_no_part_of_its_value(frame3):
+    shape, fresh = Polyomino(frame3.cells), Polyomino(frame3.cells)
+    holes(shape), maximal_blocks(shape, HORIZONTAL), maximal_edge_intervals(shape, VERTICAL)
+    inner_intervals(shape).clear()  # callers get a fresh list, not the table
+    assert inner_intervals(shape) == inner_intervals(fresh) != []
+    assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(shape)), copy.copy(shape), copy.deepcopy(shape)):
+        assert twin == fresh and holes(twin) == holes(fresh)
+    with pytest.raises(AttributeError):
+        shape._holes = ()
+
+
 def test_records_order_by_their_fields_within_one_class():
     assert sorted([Interval((1, 0), (2, 1)), Interval((0, 0), (2, 2)), Interval((0, 0), (1, 1))]) \
         == [Interval((0, 0), (1, 1)), Interval((0, 0), (2, 2)), Interval((1, 0), (2, 1))]
