@@ -39,7 +39,6 @@ from .grid import (
     Polyomino,
     PolyominoError,
     edges,
-    format_grid,
     format_shape_json,
     holes,
     inner_intervals,

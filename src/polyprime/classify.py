@@ -19,11 +19,52 @@ from .grid import (
     VERTICAL,
     cell_edges,
     cell_neighbors,
-    cell_vertices,
     edge_interval_through,
     maximal_blocks,
     vertices,
 )
+
+
+def _is_cell_path(cells: tuple[Cell, ...], closed: bool) -> bool:
+    """Are the cells, in this order, a path of cells?
+
+    The cells are distinct; consecutive cells share an edge, and so do the
+    last and the first when ``closed``; cells more than two steps apart
+    share no vertex, steps counted cyclically when ``closed``.
+    """
+    n = len(cells)
+    if len(set(cells)) != n:
+        return False
+    for i in range(n if closed else n - 1):
+        (ax, ay), (bx, by) = cells[i], cells[(i + 1) % n]
+        if abs(ax - bx) + abs(ay - by) != 1:
+            return False
+    for i in range(n):
+        ax, ay = cells[i]
+        # Distinct cells share a vertex exactly when neither coordinate differs by more than one.
+        for j in range(i + 3, min(n, n - 2 + i) if closed else n):
+            bx, by = cells[j]
+            if -1 <= ax - bx <= 1 and -1 <= ay - by <= 1:
+                return False
+    return True
+
+
+def _walk(cells: frozenset[Cell], start: Cell, step: Cell) -> list[Cell]:
+    """The walk through ``cells`` from ``start`` that steps first to ``step``.
+
+    Each later step goes to the one neighbour in the set that is not the
+    previous cell.  The walk stops where there is no such single neighbour,
+    or where that neighbour is ``start``.  It never loops elsewhere: a cell
+    met twice would have offered two neighbours the first time.
+    """
+    order = [start, step]
+    prev, current = start, step
+    while True:
+        nxt = [nb for nb in cell_neighbors(current) if nb in cells and nb != prev]
+        if len(nxt) != 1 or nxt[0] == start:
+            return order
+        prev, current = current, nxt[0]
+        order.append(current)
 
 
 class ClosedPathCert(Record):
@@ -36,24 +77,8 @@ class ClosedPathCert(Record):
         return len(self.cycle)
 
     def validate(self) -> bool:
-        """Re-check all four defining conditions directly on the cycle."""
-        cycle = self.cycle
-        n = len(cycle)
-        if n <= 5:
-            return False
-        if len(set(cycle)) != n:
-            return False
-        for i in range(n):
-            a, b = cycle[i], cycle[(i + 1) % n]
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                return False
-        verts = [set(cell_vertices(c)) for c in cycle]
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = min(j - i, n - (j - i))
-                if gap > 2 and verts[i] & verts[j]:
-                    return False
-        return True
+        """Re-check the defining conditions directly on the cycle."""
+        return len(self.cycle) > 5 and _is_cell_path(self.cycle, closed=True)
 
 
 class LConfiguration(Record):
@@ -67,9 +92,6 @@ class LConfiguration(Record):
     @property
     def corner_cell(self) -> Cell:
         return self.cells[2]
-
-    def as_set(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
 
 
 class Ladder(Record):
@@ -88,10 +110,18 @@ class Ladder(Record):
 
 
 class OpenPath(Record):
-    """Cell sequence with distinct cells, consecutive edge contacts, and
-    vertex-disjointness at index distance three or more."""
+    """At least two cells that, in this order, form a path of cells.
+
+    The cells are distinct, consecutive cells share an edge, and cells
+    three or more steps apart share no vertex.  Any other order raises
+    ``ValueError``.
+    """
 
     cells: tuple[Cell, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.cells) < 2 or not _is_cell_path(self.cells, closed=False):
+            raise ValueError(f"cells are not an open path in the order given: {self.cells}")
 
     @property
     def length(self) -> int:
@@ -106,20 +136,34 @@ class OpenPath(Record):
 
 
 class Trimino(Record):
-    """Three non-aligned cells with their two hooking vertices.
+    """Three cells in (end, middle, end) order, the two ends not aligned.
 
-    The hooking vertex of an end cell is its unique corner that belongs to
-    no other cell of the trimino and sits at unit distance from the corner
-    shared by all three cells; the hooking edges are the end cell's two
-    edges through it.
+    Any other cells raise ``ValueError``.  The hooking vertex of an end cell
+    is its unique corner that belongs to no other cell of the trimino and
+    sits at unit distance from the corner shared by all three cells; the
+    hooking edges are the end cell's two edges through it.
     """
 
-    cells: tuple[Cell, Cell, Cell]  # (end, middle, end)
-    hooking_vertices: tuple[Point, Point]
-    hooking_edges: dict[Point, tuple[tuple[Point, Point], tuple[Point, Point]]]
+    cells: tuple[Cell, Cell, Cell]
 
-    def __hash__(self) -> int:
-        return hash((self.cells, self.hooking_vertices))
+    def __post_init__(self) -> None:
+        cells = self.cells
+        if not (len(cells) == 3 and _is_cell_path(cells, closed=False)
+                and cells[0][0] != cells[2][0] and cells[0][1] != cells[2][1]):
+            raise ValueError(f"cells are not a corner trimino in (end, middle, end) order: {cells}")
+
+    @property
+    def hooking_vertices(self) -> tuple[Point, Point]:
+        # The ends meet diagonally, in the corner shared by all three cells;
+        # each end's hooking vertex lies one step from it, away from the middle.
+        (fx, fy), (mx, my), (lx, ly) = self.cells
+        px, py = max(fx, lx), max(fy, ly)
+        return ((px + fx - mx, py + fy - my), (px + lx - mx, py + ly - my))
+
+    def hooking_edges(self, vertex: Point) -> tuple[tuple[Point, Point], tuple[Point, Point]]:
+        """The two edges through ``vertex`` of the end cell it hooks."""
+        end = self.cells[self.hooking_vertices.index(vertex) * 2]
+        return tuple(e for e in cell_edges(end) if vertex in e)  # type: ignore[return-value]
 
 
 def _neighbors_in(cell: Cell, cells: frozenset[Cell]) -> list[Cell]:
@@ -129,34 +173,17 @@ def _neighbors_in(cell: Cell, cells: frozenset[Cell]) -> list[Cell]:
 def closed_path_certificate(p: Polyomino) -> ClosedPathCert | None:
     """Detect the closed-path structure and return the oriented cycle.
 
-    Every cell must have exactly two edge-neighbors in the shape; the unique
-    cycle is then checked for length > 5 and vertex-disjointness outside the
-    cyclic window of width two.  The cycle starts at the lexicographically
-    least cell and proceeds toward its smaller neighbor.
+    The cycle starts at the lexicographically least cell and proceeds
+    toward its smaller neighbor; the shape is a closed path when that walk
+    takes in every cell and the cycle it gives passes
+    :meth:`ClosedPathCert.validate`.
     """
     cells = p.cells
     if len(cells) <= 5:
         return None
-    adjacency: dict[Cell, list[Cell]] = {}
-    for cell in cells:
-        nbs = _neighbors_in(cell, cells)
-        if len(nbs) != 2:
-            return None
-        adjacency[cell] = sorted(nbs)
     start = min(cells)
-    cycle = [start, adjacency[start][0]]
-    while True:
-        prev, current = cycle[-2], cycle[-1]
-        nxt = [nb for nb in adjacency[current] if nb != prev]
-        if len(nxt) != 1:
-            return None
-        if nxt[0] == start:
-            break
-        cycle.append(nxt[0])
-    if len(cycle) != len(cells):
-        return None  # degree-2 but several cycles: disconnected is impossible here
-    cert = ClosedPathCert(tuple(cycle))
-    return cert if cert.validate() else None
+    cert = ClosedPathCert(tuple(_walk(cells, start, min(_neighbors_in(start, cells)))))
+    return cert if len(cert.cycle) == len(cells) and cert.validate() else None
 
 
 _ARM_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -280,74 +307,31 @@ def has_block_of_length(p: Polyomino, k: int) -> bool:
     )
 
 
-def _vertex_window_ok(cells: tuple[Cell, ...], window: int) -> bool:
-    verts = [set(cell_vertices(c)) for c in cells]
-    n = len(cells)
-    for i in range(n):
-        for j in range(i + window + 1, n):
-            if verts[i] & verts[j]:
-                return False
-    return True
-
-
 def open_path_certificate(p: Polyomino) -> OpenPath | None:
-    """Order the cells as an open path if the shape admits one."""
+    """Order the cells as an open path if the shape admits one.
+
+    The walk starts at the least cell with a single neighbor.
+    """
     cells = p.cells
-    if len(cells) < 2:
+    ends = [c for c in cells if len(_neighbors_in(c, cells)) == 1]
+    if not ends:
         return None
-    degree = {cell: _neighbors_in(cell, cells) for cell in cells}
-    endpoints = sorted(c for c, nbs in degree.items() if len(nbs) == 1)
-    if len(endpoints) != 2 or any(len(nbs) > 2 for nbs in degree.values()):
+    start = min(ends)
+    order = tuple(_walk(cells, start, _neighbors_in(start, cells)[0]))
+    if len(order) != len(cells) or not _is_cell_path(order, closed=False):
         return None
-    order = [endpoints[0]]
-    prev: Cell | None = None
-    while len(order) < len(cells):
-        nxt = [nb for nb in degree[order[-1]] if nb != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    if order[-1] != endpoints[1]:
-        return None
-    cells_tuple = tuple(order)
-    if len(cells_tuple) > 2 and not _vertex_window_ok(cells_tuple, 2):
-        return None
-    return OpenPath(cells_tuple)
+    return OpenPath(order)
 
 
 def trimino_certificate(p: Polyomino) -> Trimino | None:
-    """Recognize a three-cell corner shape and label its hooking structure."""
+    """Order a three-cell corner shape as (end, middle, end), the ends sorted."""
     if p.rank != 3:
         return None
+    # Three edge-connected cells: the middle is the one with two neighbors.
     cells = sorted(p.cells)
-    middles = [c for c in cells if len(_neighbors_in(c, p.cells)) == 2]
-    if len(middles) != 1:
-        return None  # aligned triples have a middle too, filtered below
-    middle = middles[0]
-    ends = [c for c in cells if c != middle]
-    (e1x, e1y), (e2x, e2y) = ends
-    if e1x == e2x or e1y == e2y:
-        return None  # aligned
-    shared = set(cell_vertices(ends[0])) & set(cell_vertices(ends[1])) & set(cell_vertices(middle))
-    if len(shared) != 1:
-        return None
-    pivot = shared.pop()
-    hooking: list[Point] = []
-    edge_map: dict[Point, tuple[tuple[Point, Point], tuple[Point, Point]]] = {}
-    for end in ends:
-        other_vertices = set(cell_vertices(middle)) | set(
-            cell_vertices(ends[1] if end == ends[0] else ends[0])
-        )
-        candidates = [
-            v
-            for v in cell_vertices(end)
-            if v not in other_vertices
-            and abs(v[0] - pivot[0]) + abs(v[1] - pivot[1]) == 1
-        ]
-        if len(candidates) != 1:
-            return None
-        vertex = candidates[0]
-        hooking.append(vertex)
-        incident = tuple(e for e in cell_edges(end) if vertex in e)
-        edge_map[vertex] = (incident[0], incident[1])
-    return Trimino((ends[0], middle, ends[1]), (hooking[0], hooking[1]), edge_map)
+    middle = next(c for c in cells if len(_neighbors_in(c, p.cells)) == 2)
+    first, last = (c for c in cells if c != middle)
+    try:
+        return Trimino((first, middle, last))
+    except ValueError:
+        return None  # the ends are aligned

@@ -2,7 +2,9 @@
 
 The constructors assemble the composite families (simple core plus paths
 plus corner triminoes, and rectangles linked to a simple shape by two
-paths) from explicitly placed parts, validating each defining clause.
+paths) from explicitly placed parts.  An :class:`OpenPath` or
+:class:`Trimino` part is valid by construction; the constructors here
+check each clause that relates the parts.
 ``certify_family`` proves primality with the family's marked map.  This
 module belongs to the algebraic layer: importing it loads
 :mod:`polyprime.toric` and :mod:`polyprime.ideals`.
@@ -18,7 +20,6 @@ from .classify import (
     Trimino,
     find_l_configurations,
     find_ladders,
-    open_path_certificate,
     trimino_certificate,
 )
 from .grid import (
@@ -71,11 +72,6 @@ def build_psc(s: Polyomino, c: OpenPath, t1: Trimino, t2: Trimino) -> tuple[Poly
     """
     if not is_simple(s):
         raise ConditionViolated(1, "core shape must be simple")
-    if open_path_certificate(Polyomino.from_cells(c.cells)) is None:
-        raise ConditionViolated(1, "path part is not an open path")
-    for t in (t1, t2):
-        if trimino_certificate(Polyomino.from_cells(t.cells)) is None:
-            raise ConditionViolated(1, "hook part is not a trimino")
     vs, vc = vertices(s), vertices(c.cells)
     vt1, vt2 = vertices(t1.cells), vertices(t2.cells)
     if vs & vc:
@@ -94,7 +90,7 @@ def build_psc(s: Polyomino, c: OpenPath, t1: Trimino, t2: Trimino) -> tuple[Poly
             raise ConditionViolated(3, f"hook {idx + 1} must share exactly one edge with the core")
         shared_s = next(iter(with_s))
         a_vertex = next(
-            (v for v in t.hooking_vertices if shared_s in t.hooking_edges[v]), None
+            (v for v in t.hooking_vertices if shared_s in t.hooking_edges(v)), None
         )
         if a_vertex is None:
             raise ConditionViolated(3, f"core edge of hook {idx + 1} is not a hooking edge")
@@ -105,7 +101,7 @@ def build_psc(s: Polyomino, c: OpenPath, t1: Trimino, t2: Trimino) -> tuple[Poly
         if shared_c not in hook_end_edges:
             raise ConditionViolated(4, f"hook {idx + 1} must meet the path at its end cell")
         b_vertex = next(
-            (v for v in t.hooking_vertices if shared_c in t.hooking_edges[v]), None
+            (v for v in t.hooking_vertices if shared_c in t.hooking_edges(v)), None
         )
         if b_vertex is None or b_vertex == a_vertex:
             raise ConditionViolated(4, f"path edge of hook {idx + 1} is not the other hooking edge")
@@ -157,9 +153,6 @@ def build_rectangle_linked(
         raise ConditionViolated(1, f"rectangle needs m >= 4 and n >= 2, got m={m}, n={n}")
     if not is_simple(s):
         raise ConditionViolated(1, "linked shape must be simple")
-    for path in (p1, p2):
-        if open_path_certificate(Polyomino.from_cells(path.cells)) is None:
-            raise ConditionViolated(1, "path part is not an open path")
     vr, vs = vertices(r), vertices(s)
     vp1, vp2 = vertices(p1.cells), vertices(p2.cells)
     if vs & vr:
@@ -199,7 +192,7 @@ def build_rectangle_linked(
         if landing not in allowed:
             raise ConditionViolated(6, f"landing edge {landing} outside the allowed border set")
     if kind == "good-l-rectangle":
-        if len(p1.cells) < 2 or p1.cells[1] != (1, n + 1):
+        if p1.cells[1] != (1, n + 1):
             raise ConditionViolated(2, f"first path must continue straight up to (1,{n + 1})")
     if kind == "ladder-rectangle":
         blocks1 = maximal_blocks(Polyomino.from_cells(p1.cells), HORIZONTAL)

@@ -286,22 +286,26 @@ def _cache_key(budget: Budget, certify: bool) -> dict:
     return {"code": _code_digest(), "certify": certify, "budget": caps}
 
 
-def _cache_path(cache: Path, digest: str, key: dict) -> Path:
+def _cache_path(cache: Path, cells: tuple[Cell, ...], key: dict) -> Path:
     import hashlib
 
     tag = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
-    return cache / f"{digest}-{tag}.json"
+    return cache / f"{CanonicalForm(cells).digest()}-{tag}.json"
 
 
-def _cache_load(cache: Path, digest: str, key: dict) -> ShapeRecord | None:
-    """The stored record for this shape and key; a missing or unreadable file is a miss."""
+def _cache_load(cache: Path, cells: tuple[Cell, ...], key: dict) -> ShapeRecord | None:
+    """The stored record for this shape and key.
+
+    A missing or unreadable file is a miss, and so is a record of other
+    cells or of another key.
+    """
     try:
-        data = json.loads(_cache_path(cache, digest, key).read_text())
-        if data["key"] != key:
-            return None
+        data = json.loads(_cache_path(cache, cells, key).read_text())
         rec = data["record"]
+        if data["key"] != key or rec["cells"] != [list(c) for c in cells]:
+            return None
         return ShapeRecord(
-            cells=tuple(tuple(c) for c in rec["cells"]),
+            cells=cells,
             rank=rec["rank"],
             l_configurations=rec["l_configurations"],
             ladders3=rec["ladders3"],
@@ -315,7 +319,7 @@ def _cache_load(cache: Path, digest: str, key: dict) -> ShapeRecord | None:
         return None
 
 
-def _cache_store(cache: Path, digest: str, key: dict, record: ShapeRecord) -> None:
+def _cache_store(cache: Path, key: dict, record: ShapeRecord) -> None:
     """Write through a temporary file, so a reader never sees a partial record.
 
     The temporary name carries the process id, so concurrent sweeps sharing
@@ -323,7 +327,7 @@ def _cache_store(cache: Path, digest: str, key: dict, record: ShapeRecord) -> No
     """
     payload = json.dumps({"key": key, "record": record.to_json_dict()},
                          separators=(",", ":"), sort_keys=True)
-    path = _cache_path(cache, digest, key)
+    path = _cache_path(cache, record.cells, key)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(payload)
@@ -357,7 +361,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     cached: dict[tuple[Cell, ...], ShapeRecord] = {}
     for cells in shapes:
         if cache is not None:
-            hit = _cache_load(cache, CanonicalForm(cells).digest(), key)
+            hit = _cache_load(cache, cells, key)
             if hit is not None:
                 cached[cells] = hit
                 continue
@@ -381,7 +385,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     for cells in shapes:
         record = cached.get(cells) or fresh[cells]
         if cache is not None and cells in fresh:
-            _cache_store(cache, CanonicalForm(cells).digest(), key, record)
+            _cache_store(cache, key, record)
         # Structural facts guaranteed for every closed path.
         if not record.block3:
             raise CounterexampleFound(f"closed path without a length-3 block: {cells}")

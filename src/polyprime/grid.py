@@ -166,8 +166,7 @@ class Interval(Record):
     """Lattice interval [a, b] with a <= b componentwise.
 
     ``a`` and ``b`` are the diagonal corners; the anti-diagonal corners are
-    derived.  ``proper`` means strictly increasing in both coordinates, in
-    which case the interval carries cells.
+    derived.
     """
 
     a: Point
@@ -176,10 +175,6 @@ class Interval(Record):
     def __post_init__(self) -> None:
         if not point_leq(self.a, self.b):
             raise ValueError(f"interval corners not ordered: {self.a} !<= {self.b}")
-
-    @property
-    def proper(self) -> bool:
-        return self.a[0] < self.b[0] and self.a[1] < self.b[1]
 
     @property
     def anti_diagonal_corners(self) -> tuple[Point, Point]:
@@ -197,11 +192,6 @@ class Interval(Record):
     def points(self) -> Iterator[Point]:
         for x in range(self.a[0], self.b[0] + 1):
             for y in range(self.a[1], self.b[1] + 1):
-                yield (x, y)
-
-    def cells(self) -> Iterator[Cell]:
-        for x in range(self.a[0], self.b[0]):
-            for y in range(self.a[1], self.b[1]):
                 yield (x, y)
 
     def intersection_points(self, other: "Interval") -> frozenset[Point]:
@@ -236,10 +226,6 @@ class EdgeInterval(Record):
         if self.orientation == HORIZONTAL:
             return p[1] == self.line and self.lo <= p[0] <= self.hi
         return p[0] == self.line and self.lo <= p[1] <= self.hi
-
-    def points(self) -> Iterator[Point]:
-        for k in range(self.lo, self.hi + 1):
-            yield (k, self.line) if self.orientation == HORIZONTAL else (self.line, k)
 
     @property
     def length(self) -> int:
@@ -290,9 +276,6 @@ class Polyomino(Record):
         xs = [c[0] for c in self.cells]
         ys = [c[1] for c in self.cells]
         return ((min(xs), min(ys)), (max(xs) + 1, max(ys) + 1))
-
-    def translate(self, dx: int, dy: int) -> "Polyomino":
-        return Polyomino(frozenset((x + dx, y + dy) for x, y in self.cells))
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
@@ -542,10 +525,6 @@ def transform_cells(name: str, cells: Iterable[Cell]) -> frozenset[Cell]:
     return frozenset(transform_cell(name, c) for c in cells)
 
 
-def transform_polyomino(name: str, p: Polyomino) -> Polyomino:
-    return Polyomino(transform_cells(name, p.cells))
-
-
 def inverse_transform(name: str) -> str:
     return _INVERSE[name]
 
@@ -581,15 +560,6 @@ def parse_grid(text: str) -> Polyomino:
     if not cells:
         raise GridParseError("grid contains no cells")
     return Polyomino.from_cells(cells)
-
-
-def format_grid(p: Polyomino) -> str:
-    """Render over the bounding box, one row per line, highest y first."""
-    (lox, loy), (hix, hiy) = p.bounding_box()
-    rows = []
-    for y in range(hiy - 1, loy - 1, -1):
-        rows.append("".join("#" if (x, y) in p.cells else "." for x in range(lox, hix)))
-    return "\n".join(rows) + "\n"
 
 
 def parse_shape_json(text: str) -> Polyomino:

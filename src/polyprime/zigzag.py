@@ -9,8 +9,6 @@ such a walk is the obstruction the primality pipeline reports.
 
 from __future__ import annotations
 
-import json
-
 from .grid import Interval, Point, Polyomino, Record, inner_intervals, on_common_edge_interval
 
 
@@ -38,9 +36,6 @@ class ZigZagWalk(Record):
             "z": [list(p) for p in self.z],
             "u": [list(p) for p in self.u],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 def _opposite_corner(interval: Interval, corner: Point) -> Point:

@@ -6,17 +6,15 @@ from pathlib import Path
 import pytest
 
 from polyprime.cli import main
-from polyprime.grid import format_grid, format_shape_json
+from polyprime.grid import format_shape_json
 
 SHAPES = Path(__file__).resolve().parent.parent / "shapes"
 DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
-def frame3_grid(tmp_path, frame3):
-    path = tmp_path / "frame3.grid"
-    path.write_text(format_grid(frame3))
-    return str(path)
+def frame3_grid():
+    return str(SHAPES / "frame3.grid")
 
 
 @pytest.fixture()
@@ -232,6 +230,22 @@ def test_family_budget_stop_exits_like_certify(capsys):
     assert "equality=containment-only" in capsys.readouterr().out
     assert main(["certify", str(SHAPES / "frame3.grid"), *argv[1:]]) == 3
     assert "equality=containment-only" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", sorted(path.name for path in SHAPES.glob("*.json")))
+def test_shipped_family_spec_certifies_prime(spec, capsys):
+    assert main(["family", str(SHAPES / spec), "--certify"]) == 0
+    out = capsys.readouterr().out
+    assert ", prime (" in out and "equality=full" in out
+
+
+def test_family_spec_with_a_path_out_of_order_exit4(tmp_path, capsys):
+    spec = json.loads((SHAPES / "good_l_rectangle.json").read_text())
+    spec["p2"] = [[3, 4], [4, 3], [4, 4], [4, 2], [4, 1]]
+    path = tmp_path / "out_of_order.json"
+    path.write_text(json.dumps(spec))
+    assert main(["family", str(path), "--certify"]) == 4
+    assert capsys.readouterr().err.startswith("input error: cells are not an open path")
 
 
 def test_family_spec_missing_a_part_exit4(tmp_path, capsys):

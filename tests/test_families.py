@@ -14,7 +14,12 @@ from hypothesis import given, strategies as st
 
 import polyprime
 from polyprime import classify, cli, composites, families, grid, ideals, toric, zigzag
-from polyprime.classify import OpenPath, closed_path_certificate, trimino_certificate
+from polyprime.classify import (
+    OpenPath,
+    closed_path_certificate,
+    open_path_certificate,
+    trimino_certificate,
+)
 from polyprime.composites import (
     ConditionViolated,
     build_psc,
@@ -40,25 +45,25 @@ from polyprime.grid import (
     maximal_blocks,
     maximal_edge_intervals,
     parse_grid,
-    transform_polyomino,
+    transform_cells,
     vertices,
 )
 from polyprime.ideals import toric_map_marked
 from polyprime.toric import Budget, certify_primality
 
-from conftest import all_polyominoes, kills_minors, psc_parts, rectangle
+from conftest import all_polyominoes, kills_minors, psc_parts
 
 
 # --- canonical forms ---------------------------------------------------------
 
 def test_canonical_form_translation_invariant(frame3):
-    assert canonical_form(frame3) == canonical_form(frame3.translate(7, -3))
+    assert canonical_form(frame3) == canonical_form(Polyomino.from_cells((x + 7, y - 3) for x, y in frame3.cells))
 
 
 @pytest.mark.parametrize("name", TRANSFORM_NAMES)
 def test_canonical_form_d4_invariant(name, frame3, ring22):
     for shape in (frame3, ring22):
-        assert canonical_form(transform_polyomino(name, shape)) == canonical_form(shape)
+        assert canonical_form(Polyomino(transform_cells(name, shape.cells))) == canonical_form(shape)
 
 
 def test_canonical_form_idempotent(ring22):
@@ -77,7 +82,7 @@ def test_canonical_form_random_orbit(cells, name, shift):
     if not is_connected(cells):
         return
     shape = Polyomino.from_cells(cells)
-    moved = transform_polyomino(name, shape).translate(*shift)
+    moved = Polyomino.from_cells((x + shift[0], y + shift[1]) for x, y in transform_cells(name, cells))
     assert canonical_form(moved) == canonical_form(shape)
 
 
@@ -223,7 +228,7 @@ def test_build_psc_overlapping_core_and_path_fails():
 def test_build_psc_requires_simple_core(frame3):
     s, c, t1, t2 = psc_parts()
     with pytest.raises(ConditionViolated) as err:
-        build_psc(frame3.translate(20, 20), c, t1, t2)
+        build_psc(Polyomino.from_cells((x + 20, y + 20) for x, y in frame3.cells), c, t1, t2)
     assert err.value.index == 1
 
 
@@ -243,7 +248,7 @@ def test_build_rectangle_linked_valid(good_l_instance):
 
 
 def test_rectangle_too_narrow_rejected():
-    r = rectangle(2, 1).translate(1, 1)  # m = 3 < 4
+    r = Polyomino.from_cells([(1, 1), (2, 1)])  # m = 3 < 4
     p1 = OpenPath(((1, 2), (1, 3)))
     s = Polyomino.from_cells([(1, 4), (2, 4)])
     p2 = OpenPath(((3, 4), (3, 3), (3, 2)))
@@ -260,6 +265,20 @@ def test_rectangle_right_edge_landing_allowed_for_l_variant():
     p2 = OpenPath(((3, 4), (4, 4), (4, 3), (4, 2), (4, 1)))
     shape, spec = build_rectangle_linked(r, p1, s, p2, kind="good-l-rectangle")
     assert len(holes(shape)) == 1
+
+
+def test_rectangle_linked_refuses_a_path_out_of_order():
+    # These cells form an open path, but not in the order given.
+    r = Polyomino.from_cells([(1, 1), (2, 1), (3, 1)])
+    p1 = OpenPath(((1, 2), (1, 3)))
+    s = Polyomino.from_cells([(1, 4), (2, 4)])
+    out_of_order = ((3, 4), (4, 3), (4, 4), (4, 2), (4, 1))
+    in_order = ((3, 4), (4, 4), (4, 3), (4, 2), (4, 1))
+    with pytest.raises(ValueError):
+        build_rectangle_linked(r, p1, s, OpenPath(out_of_order), kind="good-l-rectangle")
+    assert open_path_certificate(Polyomino.from_cells(out_of_order)).cells == in_order
+    _, spec = build_rectangle_linked(r, p1, s, OpenPath(in_order), kind="good-l-rectangle")
+    assert spec.part("p2") == in_order
 
 
 def test_rectangle_bad_landing_edge_for_ladder_variant():
@@ -482,7 +501,7 @@ PUBLIC_NAMES = (
     "build_rectangle_linked", "canonical_form", "certify_family", "certify_primality",
     "check_containment", "check_good_l_rectangle", "classify", "closed_path_certificate",
     "edges", "enumerate_closed_paths", "export_generators", "families",
-    "find_l_configurations", "find_ladders", "find_zigzag_walk", "format_grid",
+    "find_l_configurations", "find_ladders", "find_zigzag_walk",
     "format_shape_json", "grid", "has_block_of_length", "holes", "ideals", "inner_intervals",
     "inner_minors", "integer_kernel", "is_connected", "is_simple", "maximal_blocks",
     "maximal_edge_intervals", "open_path_certificate", "parse_grid", "parse_shape_json",
@@ -663,6 +682,17 @@ def test_verify_cache_corrupt_file_is_a_miss(tmp_path):
     assert second.to_json_lines() == first.to_json_lines()
     # The recomputed records replaced the damaged files.
     assert all(json.loads(path.read_text())["record"] for path in paths)
+
+
+def test_verify_cache_serves_only_the_shape_asked_for(tmp_path):
+    first = verify_main_theorem(12, certify=False, cache_dir=str(tmp_path))
+    paths = sorted(tmp_path.iterdir())
+    theirs = json.loads(paths[1].read_text())["record"]["cells"]
+    paths[1].write_text(paths[0].read_text())  # one shape's record under another's name
+    second = verify_main_theorem(12, certify=False, cache_dir=str(tmp_path))
+    assert second.to_json_lines() == first.to_json_lines()
+    # The miss was recomputed and its file rewritten.
+    assert json.loads(paths[1].read_text())["record"]["cells"] == theirs
 
 
 def test_verify_cache_env_override(tmp_path, monkeypatch):

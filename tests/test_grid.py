@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,6 @@ from polyprime.grid import (
     TRANSFORM_NAMES,
     VERTICAL,
     edges,
-    format_grid,
     format_shape_json,
     holes,
     inner_intervals,
@@ -30,7 +30,7 @@ from polyprime.grid import (
     maximal_edge_intervals,
     parse_grid,
     parse_shape_json,
-    transform_polyomino,
+    transform_cells,
     vertices,
 )
 from polyprime.ideals import ToricMap
@@ -38,6 +38,8 @@ from polyprime.toric import Budget, PrimalityVerdict
 from polyprime.zigzag import ZigZagWalk
 
 from conftest import rectangle
+
+SHAPES = Path(__file__).resolve().parent.parent / "shapes"
 
 
 def test_vertices_domino():
@@ -187,20 +189,17 @@ def test_point_order_helpers():
 
 def test_interval_accessors():
     interval = Interval((0, 0), (2, 1))
-    assert interval.proper
     assert set(interval.anti_diagonal_corners) == {(0, 1), (2, 0)}
-    assert set(interval.cells()) == {(0, 0), (1, 0)}
-    assert not Interval((0, 0), (2, 0)).proper
     with pytest.raises(ValueError):
         Interval((1, 1), (0, 0))
 
 
 def test_grid_round_trip(frame3, ring22):
-    for shape in (frame3, ring22):
-        again = parse_grid(format_grid(shape))
+    # The shipped grids are these shapes, drawn with their lowest row at y = 0.
+    for name, shape in (("frame3", frame3), ("ring22", ring22)):
+        again = parse_grid((SHAPES / f"{name}.grid").read_text())
         (lox, loy), _ = shape.bounding_box()
-        assert again.cells == shape.translate(-lox, -loy).cells
-        assert format_grid(again) == format_grid(shape)
+        assert again.cells == {(x - lox, y - loy) for x, y in shape.cells}
 
 
 def test_grid_parse_offsets_and_errors():
@@ -221,7 +220,7 @@ def test_json_round_trip(ring22):
 
 @pytest.mark.parametrize("name", TRANSFORM_NAMES)
 def test_transforms_preserve_structure(name, ring22):
-    image = transform_polyomino(name, ring22)
+    image = Polyomino(transform_cells(name, ring22.cells))
     assert image.rank == ring22.rank
     assert len(holes(image)) == len(holes(ring22))
     assert len(inner_intervals(image)) == len(inner_intervals(ring22))
@@ -245,6 +244,7 @@ RECORD_SAMPLES = [
      "Ladder(blocks=(Block(orientation='h', cells=((0, 0), (1, 0))), "
      "Block(orientation='h', cells=((1, 1), (2, 1)))), contacts=(((1, 1), (2, 1)),))"),
     (OpenPath, {"cells": ((0, 0), (1, 0), (1, 1))}, "OpenPath(cells=((0, 0), (1, 0), (1, 1)))"),
+    (Trimino, {"cells": ((0, 0), (1, 0), (1, 1))}, "Trimino(cells=((0, 0), (1, 0), (1, 1)))"),
     (ZigZagWalk, {"intervals": (Interval((0, 0), (1, 1)), Interval((1, 1), (2, 2))),
                   "v": ((0, 0), (1, 1), (0, 0)), "z": ((1, 1), (2, 2)), "u": ((0, 1), (1, 2))},
      "ZigZagWalk(intervals=(Interval(a=(0, 0), b=(1, 1)), Interval(a=(1, 1), b=(2, 2))), "
@@ -345,6 +345,12 @@ def test_record_construction_defaults_and_checks():
         Polyomino(frozenset())
     with pytest.raises(DisconnectedCellsError):
         Polyomino(frozenset({(0, 0), (2, 0)}))
-    # Trimino hashes without its dict field.
-    trimino = Trimino(((0, 0), (1, 0), (1, 1)), ((0, 0), (2, 2)), {})
-    assert hash(trimino) == hash((trimino.cells, trimino.hooking_vertices))
+    # A path part is checked in the order given, a trimino as (end, middle, end).
+    with pytest.raises(ValueError):
+        OpenPath(((0, 0), (1, 1), (1, 0)))
+    with pytest.raises(ValueError):
+        OpenPath(((0, 0),))
+    with pytest.raises(ValueError):
+        Trimino(((1, 0), (0, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        Trimino(((0, 0), (1, 0), (2, 0)))

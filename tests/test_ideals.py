@@ -12,8 +12,8 @@ from polyprime.grid import (
     TRANSFORM_NAMES,
     cell_vertices,
     maximal_edge_intervals,
+    transform_cells,
     transform_point,
-    transform_polyomino,
     vertices,
 )
 from polyprime.ideals import (
@@ -220,7 +220,7 @@ def test_ladder_map_rejects_foreign_ladder(frame3, ring22):
 def test_ladder_marked_set_equivariance(name, ring22):
     ladder = find_ladders(ring22, 3)[0]
     marked = ladder_marked_set(ladder, ring22.cells)
-    image = transform_polyomino(name, ring22)
+    image = Polyomino(transform_cells(name, ring22.cells))
     image_ladder = find_ladders(image, 3)[0]
     image_marked = ladder_marked_set(image_ladder, image.cells)
     assert image_marked == {transform_point(name, q) for q in marked}

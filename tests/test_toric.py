@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyprime.classify import find_l_configurations, find_ladders
 from polyprime.grid import Polyomino, cell_vertices
 from polyprime.ideals import (
+    ToricMap,
     check_containment,
     inner_minors,
     ladder_marked_set,
@@ -456,6 +457,17 @@ def test_attempt_equality_rejects_unmarked_map_on_diamond(diamond16):
         attempt_equality(minors, phi, Budget())
 
 
+def test_attempt_equality_rejects_a_minor_lattice_of_index_2():
+    # x0^2 - x1^2 and x2 - x3 span a rank-2 lattice of index 2 in its
+    # saturation.  A = [[1,1,0,0],[0,0,1,1]] kills both and its kernel has
+    # rank 2 as well, so only the index check can refuse this map.
+    minors = [((2, 0, 0, 0), (0, 2, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1))]
+    phi = ToricMap(((0, 0), (0, 1), (1, 0), (1, 1)), ((1, 1, 0, 0), (0, 0, 1, 1)), frozenset())
+    assert check_containment(minors, phi)
+    with pytest.raises(CounterexampleFound, match="index 2"):
+        attempt_equality(minors, phi, Budget())
+
+
 def _budget_stop_note(shape) -> str:
     verdict = certify_primality(shape, Budget(max_pairs=3))
     assert verdict.kind == "prime" and verdict.equality == "containment-only"
@@ -469,7 +481,7 @@ def test_budget_stop_names_saturation_phase(frame3):
 
 
 def test_budget_stop_names_a_vertex_with_negative_coordinates(frame3):
-    shape = frame3.translate(-1, -2)
+    shape = Polyomino.from_cells((x - 1, y - 2) for x, y in frame3.cells)
     assert vertex_order(shape)[0] == (-1, -2)
     assert _budget_stop_note(shape) == "budget exhausted: pair cap (saturation check, x_m1_m2)"
 
@@ -723,12 +735,12 @@ def test_buchberger_output_is_a_groebner_basis(raw):
 
 def test_verdict_kind_invariant_under_symmetry(diamond16, frame3):
     from polyprime.families import enumerate_closed_paths
-    from polyprime.grid import TRANSFORM_NAMES, transform_polyomino
+    from polyprime.grid import TRANSFORM_NAMES, transform_cells
 
     tiny = Budget(max_pairs=1)
     for shape in (frame3, diamond16):
         kinds = {
-            certify_primality(transform_polyomino(name, shape), tiny).kind
+            certify_primality(Polyomino(transform_cells(name, shape.cells)), tiny).kind
             for name in TRANSFORM_NAMES
         }
         assert len(kinds) == 1

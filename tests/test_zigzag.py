@@ -14,7 +14,7 @@ from polyprime.grid import (
     TRANSFORM_NAMES,
     inner_intervals,
     on_common_edge_interval,
-    transform_polyomino,
+    transform_cells,
 )
 from polyprime.zigzag import (
     ZigZagWalk,
@@ -78,9 +78,23 @@ def test_verify_rejects_wrong_labels(diamond16):
     assert not verify_zigzag(diamond16, swapped)
 
 
+def test_verify_rejects_cocontained_z_corners(frame3):
+    # Four unit cells around frame3's hole, labelled as the search labels a
+    # walk.  The walk meets every condition but cocontainment: each two
+    # consecutive z-corners lie in one row or column of frame3.
+    walk = ZigZagWalk(
+        tuple(Interval((x, y), (x + 1, y + 1)) for x, y in ((0, 1), (1, 2), (2, 1), (1, 0))),
+        v=((1, 1), (1, 2), (2, 2), (2, 1), (1, 1)),
+        z=((0, 2), (2, 3), (3, 1), (1, 0)),
+        u=((0, 1), (1, 3), (3, 2), (2, 0)),
+    )
+    assert cocontained_in_inner_interval(frame3, walk.z[0], walk.z[1])
+    assert not verify_zigzag(frame3, walk)
+
+
 def test_round_trip_serialization(diamond16):
     walk = find_zigzag_walk(diamond16)
-    text = walk.to_json()
+    text = json.dumps(walk.to_json_dict())
     assert '"intervals"' in text and '"v"' in text
 
 
@@ -96,7 +110,7 @@ def test_cocontainment_index_matches_bruteforce(frame3, ring22):
 @pytest.mark.parametrize("name", TRANSFORM_NAMES)
 def test_existence_equivariance(name, ring22, pinwheel20, diamond16):
     for shape in (ring22, pinwheel20, diamond16):
-        image = transform_polyomino(name, shape)
+        image = Polyomino(transform_cells(name, shape.cells))
         assert (find_zigzag_walk(image) is None) == (find_zigzag_walk(shape) is None)
 
 
@@ -126,7 +140,8 @@ def test_witnesses_pinned_to_rank18():
     assert len(forms) == 112
     for cells in forms:
         witness = find_zigzag_walk(Polyomino.from_cells(cells))
-        digest.update(json.dumps([cells, None if witness is None else witness.to_json()]).encode())
+        text = None if witness is None else json.dumps(witness.to_json_dict(), separators=(",", ":"))
+        digest.update(json.dumps([cells, text]).encode())
     assert digest.hexdigest() == WITNESS_DIGEST_R18
 
 
