@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .budget import Budget, CounterexampleFound, UNLIMITED
 from .classify import (
+    LConfiguration,
+    Ladder,
     closed_path_certificate,
     find_l_configurations,
     find_ladders,
@@ -32,7 +34,7 @@ from .grid import (
     is_simple,
     transform_cells,
 )
-from .zigzag import find_zigzag_walk
+from .zigzag import ZigZagWalk, find_zigzag_walk
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,26 @@ def _extend_closed_path(path: list[Cell], position: dict[Cell, int],
 # The verification harness
 # ---------------------------------------------------------------------------
 
+def scan_closed_path(p: Polyomino) -> tuple[ZigZagWalk | None, list[LConfiguration],
+                                             list[Ladder]]:
+    """The zig-zag walk (or ``None``), L-configurations and 3-step ladders of a closed path.
+
+    Each search runs once.  The main theorem says a closed path has a
+    zig-zag walk exactly when it has neither an L-configuration nor a ladder
+    of at least three steps; when the searches disagree, this raises
+    :class:`CounterexampleFound`.  A sweep and ``certify`` both run it.
+    """
+    lconfigs = find_l_configurations(p)
+    ladders = find_ladders(p, min_steps=3)
+    witness = find_zigzag_walk(p)
+    if (witness is None) == (not lconfigs and not ladders):
+        raise CounterexampleFound(
+            f"equivalence failed on {p.sorted_cells()}: zigzag={witness is not None}, "
+            f"l_configs={len(lconfigs)}, ladders3={len(ladders)}"
+        )
+    return witness, lconfigs, ladders
+
+
 class ShapeRecord(Record):
     cells: tuple[Cell, ...]
     rank: int
@@ -156,66 +178,45 @@ class ShapeRecord(Record):
     ladders3: int
     zigzag: bool
     block3: bool
-    hole_count: int
+    holes: int
     simple: bool
     verdict: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "cells": [list(c) for c in self.cells],
-            "rank": self.rank,
-            "l_configurations": self.l_configurations,
-            "ladders3": self.ladders3,
-            "zigzag": self.zigzag,
-            "block3": self.block3,
-            "holes": self.hole_count,
-            "simple": self.simple,
-            "verdict": self.verdict,
-        }
+        data = dict(zip(self._fields, self._values(self)))
+        data["cells"] = [list(c) for c in self.cells]
+        return data
 
 
 def examine_shape(cells: tuple[Cell, ...], budget: Budget = UNLIMITED,
                   certify: bool = True) -> ShapeRecord:
-    """Feature scan plus (optional) certification of one closed path.
+    """Checked feature scan plus (optional) certification of one closed path.
 
-    The certification reuses the scan's zig-zag walk, L-configurations and
-    ladders instead of searching for them again.
+    The certification reuses the scan instead of searching again.
     """
     shape = Polyomino.from_cells(cells)
-    lconfigs = find_l_configurations(shape)
-    ladders = find_ladders(shape, min_steps=3)
-    witness = find_zigzag_walk(shape)
-    hole_list = holes(shape)
-    record_verdict: dict
+    scan = scan_closed_path(shape)
+    witness, lconfigs, ladders = scan
+    verdict: dict = {"kind": "skipped"}
     if certify:
         # Imported here: a structural sweep never compiles the Groebner engine.
         from .toric import certify_closed_path
 
-        verdict = certify_closed_path(shape, budget, witness, lconfigs, ladders)
-        record_verdict = verdict.to_json_dict()
-    else:
-        record_verdict = {"kind": "skipped"}
-    has_zigzag = witness is not None
-    no_feature = not lconfigs and not ladders
-    if has_zigzag != no_feature:
-        raise CounterexampleFound(
-            f"equivalence failed on {cells}: zigzag={has_zigzag}, "
-            f"l_configs={len(lconfigs)}, ladders3={len(ladders)}"
-        )
-    if certify and record_verdict["kind"] == "prime" and has_zigzag:
-        raise CounterexampleFound(f"prime verdict with a zig-zag walk on {cells}")
-    if certify and record_verdict["kind"] == "nonprime" and not has_zigzag:
-        raise CounterexampleFound(f"nonprime verdict without a zig-zag walk on {cells}")
+        verdict = certify_closed_path(shape, budget, scan).to_json_dict()
+        if verdict["kind"] == "prime" and witness is not None:
+            raise CounterexampleFound(f"prime verdict with a zig-zag walk on {cells}")
+        if verdict["kind"] == "nonprime" and witness is None:
+            raise CounterexampleFound(f"nonprime verdict without a zig-zag walk on {cells}")
     return ShapeRecord(
         cells=cells,
         rank=len(cells),
         l_configurations=len(lconfigs),
         ladders3=len(ladders),
-        zigzag=has_zigzag,
+        zigzag=witness is not None,
         block3=has_block_of_length(shape, 3),
-        hole_count=len(hole_list),
+        holes=len(holes(shape)),
         simple=is_simple(shape),
-        verdict=record_verdict,
+        verdict=verdict,
     )
 
 
@@ -304,17 +305,8 @@ def _cache_load(cache: Path, cells: tuple[Cell, ...], key: dict) -> ShapeRecord 
         rec = data["record"]
         if data["key"] != key or rec["cells"] != [list(c) for c in cells]:
             return None
-        return ShapeRecord(
-            cells=cells,
-            rank=rec["rank"],
-            l_configurations=rec["l_configurations"],
-            ladders3=rec["ladders3"],
-            zigzag=rec["zigzag"],
-            block3=rec["block3"],
-            hole_count=rec["holes"],
-            simple=rec["simple"],
-            verdict=rec["verdict"],
-        )
+        rec["cells"] = cells
+        return ShapeRecord(**rec)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -337,6 +329,26 @@ def _cache_store(cache: Path, key: dict, record: ShapeRecord) -> None:
         raise
 
 
+def _sweep_record(cells: tuple[Cell, ...], budget: Budget, certify: bool,
+                  cache: Path | None, key: dict | None) -> ShapeRecord:
+    """One shape of a sweep: the cached record or a fresh one, checked, then stored.
+
+    Every record, served or fresh, is checked for the structural facts
+    guaranteed for every closed path; a fresh one is stored only after.
+    """
+    record = None if cache is None else _cache_load(cache, cells, key)
+    fresh = record is None
+    if fresh:
+        record = examine_shape(cells, budget, certify)
+    if not record.block3:
+        raise CounterexampleFound(f"closed path without a length-3 block: {cells}")
+    if record.simple or record.holes != 1:
+        raise CounterexampleFound(f"closed path without a unique hole: {cells}")
+    if fresh and cache is not None:
+        _cache_store(cache, key, record)
+    return record
+
+
 def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1,
                         certify: bool = True,
                         cache_dir: str | None = None) -> VerificationReport:
@@ -346,7 +358,8 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     unique hole, non-simplicity, and (optionally) the primality verdict with
     containment on the prime side.  Any violation raises
     :class:`CounterexampleFound` - that is the falsification channel.
-    ``jobs`` is the number of worker processes, at least 1.
+    ``jobs`` is the number of worker processes, at least 1; each shape's
+    cache record is read and written by the process that analyses it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -356,18 +369,8 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
     )
     cache = _cache_dir(cache_dir)
     key = None if cache is None else _cache_key(budget, certify)
-    records: list[ShapeRecord] = []
-    pending: list[tuple[Cell, ...]] = []
-    cached: dict[tuple[Cell, ...], ShapeRecord] = {}
-    for cells in shapes:
-        if cache is not None:
-            hit = _cache_load(cache, cells, key)
-            if hit is not None:
-                cached[cells] = hit
-                continue
-        pending.append(cells)
-    fresh: dict[tuple[Cell, ...], ShapeRecord] = {}
-    if jobs > 1 and len(pending) > 1:
+    steps = (shapes, repeat(budget), repeat(certify), repeat(cache), repeat(key))
+    if jobs > 1 and len(shapes) > 1:
         # Imported here: a serial sweep need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
@@ -376,20 +379,7 @@ def verify_main_theorem(max_rank: int, budget: Budget = UNLIMITED, jobs: int = 1
             from . import toric  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(examine_shape, pending, repeat(budget), repeat(certify),
-                                   chunksize=1):
-                fresh[record.cells] = record
+            records = list(pool.map(_sweep_record, *steps, chunksize=1))
     else:
-        for cells in pending:
-            fresh[cells] = examine_shape(cells, budget, certify)
-    for cells in shapes:
-        record = cached.get(cells) or fresh[cells]
-        if cache is not None and cells in fresh:
-            _cache_store(cache, key, record)
-        # Structural facts guaranteed for every closed path.
-        if not record.block3:
-            raise CounterexampleFound(f"closed path without a length-3 block: {cells}")
-        if record.simple or record.hole_count != 1:
-            raise CounterexampleFound(f"closed path without a unique hole: {cells}")
-        records.append(record)
+        records = list(map(_sweep_record, *steps))
     return VerificationReport(max_rank=max_rank, records=records)

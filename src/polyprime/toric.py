@@ -31,13 +31,8 @@ from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 
 from .budget import Budget, BudgetClock, BudgetExhausted, CounterexampleFound, UNLIMITED
-from .classify import (
-    LConfiguration,
-    Ladder,
-    closed_path_certificate,
-    find_l_configurations,
-    find_ladders,
-)
+from .classify import LConfiguration, Ladder, closed_path_certificate
+from .families import scan_closed_path
 from .grid import Cell, Point, Polyomino, Record, cell_vertices, is_simple
 from .ideals import (
     ExponentBinomial,
@@ -50,7 +45,7 @@ from .ideals import (
     vertex_name,
     vertex_symmetries,
 )
-from .zigzag import ZigZagWalk, find_zigzag_walk, verify_zigzag
+from .zigzag import ZigZagWalk, verify_zigzag
 
 _FIELD_BITS = 20
 _FIELD_MAX = 1 << (_FIELD_BITS - 1)
@@ -696,33 +691,31 @@ def certify_primality(p: Polyomino, budget: Budget = UNLIMITED) -> PrimalityVerd
         raise NotInSupportedClass(
             "shape is neither simple nor a closed path; use the family pipeline"
         )
-    return certify_closed_path(p, budget, find_zigzag_walk(p),
-                               find_l_configurations(p), find_ladders(p, min_steps=3))
+    return certify_closed_path(p, budget, scan_closed_path(p))
 
 
-def certify_closed_path(p: Polyomino, budget: Budget, witness: ZigZagWalk | None,
-                        lconfigs: Sequence[LConfiguration],
-                        ladders: Sequence[Ladder]) -> PrimalityVerdict:
+def certify_closed_path(p: Polyomino, budget: Budget,
+                        scan: tuple[ZigZagWalk | None, Sequence[LConfiguration],
+                                    Sequence[Ladder]]) -> PrimalityVerdict:
     """The closed-path step of :func:`certify_primality`, from a feature scan already made.
 
-    ``witness``, ``lconfigs`` and ``ladders`` must be what
-    ``find_zigzag_walk(p)``, ``find_l_configurations(p)`` and
-    ``find_ladders(p, min_steps=3)`` return, so a sweep that already ran
-    them does not run them again, and the map is built from the chosen
-    feature without validating it anew.  That costs no soundness:
-    :func:`prove_prime` proves containment and I_P = ker(phi) for
-    whichever map it is given.  ``p`` must be a closed path.
+    ``scan`` must be the result of :func:`polyprime.families.scan_closed_path`
+    on ``p``, so a sweep that already ran it does not run it again, and the
+    map is built from the chosen feature without validating it anew.  That
+    costs no soundness: :func:`prove_prime` proves containment and
+    I_P = ker(phi) for whichever map it is given.  ``p`` must be a closed
+    path.
     """
+    witness, lconfigs, ladders = scan
     if witness is not None:
         if not verify_zigzag(p, witness):
             raise CounterexampleFound("zig-zag search returned an invalid witness")
         return PrimalityVerdict("nonprime", witness=witness)
+    # The scan checked that a path with no walk has a feature; only a
+    # ladder can fail to give a marking.
     marking = feature_marking(p.cells, lconfigs, ladders)
     if marking is None:
-        raise CounterexampleFound(
-            "no ladder admits the reference arrangement" if ladders else
-            "closed path with no zig-zag walk, no L-configuration, no 3-step ladder"
-        )
+        raise CounterexampleFound("no ladder admits the reference arrangement")
     marked, proof = marking
     return prove_prime(p, toric_map_marked(p, marked), proof, budget)
 

@@ -49,7 +49,7 @@ from polyprime.grid import (
     vertices,
 )
 from polyprime.ideals import toric_map_marked
-from polyprime.toric import Budget, certify_primality
+from polyprime.toric import Budget, CounterexampleFound, certify_primality
 
 from conftest import all_polyominoes, kills_minors, psc_parts
 
@@ -386,7 +386,7 @@ def test_examine_shape_frame3(frame3):
     assert record.rank == 8
     assert record.l_configurations == 4
     assert not record.zigzag
-    assert record.block3 and record.hole_count == 1 and not record.simple
+    assert record.block3 and record.holes == 1 and not record.simple
     assert record.verdict["kind"] == "prime"
 
 
@@ -699,6 +699,53 @@ def test_verify_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYPRIME_CACHE", str(tmp_path / "envcache"))
     verify_main_theorem(10, certify=False)
     assert any((tmp_path / "envcache").iterdir())
+
+
+def test_verify_cache_is_read_and_written_by_the_workers(tmp_path, monkeypatch):
+    first = verify_main_theorem(12, certify=False, jobs=2, cache_dir=str(tmp_path))
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert len(names) == len(first.records)  # one file per shape, no temporary left
+    assert all(name.endswith(".json") for name in names)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached shape was analysed again")
+
+    monkeypatch.setattr(families, "examine_shape", refuse)
+    second = verify_main_theorem(12, certify=False, cache_dir=str(tmp_path))
+    assert second.to_json_lines() == first.to_json_lines()
+
+
+# --- the falsification channel ------------------------------------------------
+# Each test forges one search or one stored fact, so that a check the sweep or
+# certify relies on must fire.
+
+def test_certify_raises_on_a_forged_l_configuration(monkeypatch, frame3, diamond16):
+    # diamond16 has a zig-zag walk, so the theorem says it has no L-configuration.
+    forged = classify.find_l_configurations(frame3)[:1]
+    monkeypatch.setattr(families, "find_l_configurations", lambda p: forged)
+    with pytest.raises(CounterexampleFound, match="equivalence failed"):
+        certify_primality(diamond16)
+
+
+def test_examine_shape_raises_on_a_shape_with_no_walk_and_no_feature(monkeypatch, ring22):
+    # ring22's only features are ladders; without them it has neither.
+    monkeypatch.setattr(families, "find_ladders", lambda p, min_steps: [])
+    with pytest.raises(CounterexampleFound, match="equivalence failed"):
+        examine_shape(tuple(sorted(ring22.cells)), certify=False)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("block3", False, "length-3 block"),
+    ("holes", 2, "unique hole"),
+])
+def test_verify_checks_a_served_record(tmp_path, field, value, message):
+    verify_main_theorem(10, certify=False, cache_dir=str(tmp_path))
+    path = sorted(tmp_path.iterdir())[0]
+    data = json.loads(path.read_text())
+    data["record"][field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(CounterexampleFound, match=message):
+        verify_main_theorem(10, certify=False, cache_dir=str(tmp_path))
 
 
 def test_rectangle_linked_removal_leaves_simple(good_l_instance, ladder_rect_instance):

@@ -262,10 +262,10 @@ RECORD_SAMPLES = [
     (FamilySpec, {"kind": "psc", "parts": (("s", ((0, 0),)),)},
      "FamilySpec(kind='psc', parts=(('s', ((0, 0),)),))"),
     (ShapeRecord, {"cells": ((0, 0),), "rank": 1, "l_configurations": 0, "ladders3": 0,
-                   "zigzag": False, "block3": False, "hole_count": 0, "simple": True,
+                   "zigzag": False, "block3": False, "holes": 0, "simple": True,
                    "verdict": {"kind": "skipped"}},
      "ShapeRecord(cells=((0, 0),), rank=1, l_configurations=0, ladders3=0, zigzag=False, "
-     "block3=False, hole_count=0, simple=True, verdict={'kind': 'skipped'})"),
+     "block3=False, holes=0, simple=True, verdict={'kind': 'skipped'})"),
     (VerificationReport, {"max_rank": 4, "records": []},
      "VerificationReport(max_rank=4, records=[])"),
 ]
